@@ -1,11 +1,12 @@
 //! E13's timing series: the serving layer's request costs — fingerprint
-//! computation, validated cache hits, cold optimization, and whole
-//! drifting-stream batches — at the production-relevant n = 12.
+//! computation, validated cache hits, cold optimization, cache misses
+//! with their write-back, and whole drifting-stream batches — at the
+//! production-relevant n = 12.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dsq_core::{optimize_with, BnbConfig, CanonicalKey, Quantization};
 use dsq_service::{optimize_batch, BatchOptions, CacheConfig, PlanCache};
-use dsq_workloads::{DriftConfig, DriftStream, Family};
+use dsq_workloads::{generate, DriftConfig, DriftStream, Family};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 
@@ -50,6 +51,28 @@ fn bench_serving(c: &mut Criterion) {
             black_box(cache.serve(black_box(inst), &config))
         })
     });
+
+    // Miss path: lookup, search and write-back of primary and alias.
+    // The pool is cycled through a cache that holds a fraction of it, so
+    // every key has been evicted before it comes back and each request
+    // misses. Clustered instances keep the search short enough that the
+    // write-back shows.
+    let pool: Vec<_> = (0..256).map(|seed| generate(Family::Clustered, N, seed)).collect();
+    let misses = PlanCache::new(CacheConfig {
+        shards: 1,
+        capacity_per_shard: 64,
+        probes: 2,
+        ..cache_config()
+    });
+    let mut next = 0usize;
+    group.bench_function(BenchmarkId::new("cache_miss", format!("clustered-n{N}")), |b| {
+        b.iter(|| {
+            let inst = &pool[next % pool.len()];
+            next += 1;
+            black_box(misses.serve(black_box(inst), &config))
+        })
+    });
+    assert_eq!(misses.stats().hits + misses.stats().warm_starts, 0, "every request must miss");
 
     // Whole-batch throughput, cold caches each iteration: the number the
     // serving layer quotes (requests per second including the misses).

@@ -340,27 +340,17 @@ impl LoadgenConfig {
                 }
             }
             RequestClass::Pipelined => {
-                // Bursts of `pipeline_depth` coalesced into one frame;
-                // the burst goes out at its *first* member's scheduled
-                // arrival and every member's latency is measured from
-                // its own slot in the schedule, so queueing inside the
-                // burst is charged like any other queueing.
                 let instances: Vec<_> = stream.collect();
                 let offsets: Vec<_> = schedule.collect();
-                for (burst, burst_offsets) in
-                    instances.chunks(self.pipeline_depth).zip(offsets.chunks(self.pipeline_depth))
-                {
-                    let scheduled = epoch + burst_offsets[0];
-                    sleep_until(scheduled);
-                    let responses = client.optimize_pipelined(burst)?;
-                    let done = Instant::now();
-                    for (j, response) in responses.iter().enumerate() {
-                        tally.sent += 1;
-                        tally.observe(response);
-                        let from = epoch + burst_offsets[j.min(burst_offsets.len() - 1)];
-                        latency.record_duration(done.saturating_duration_since(from));
-                    }
-                }
+                drive_bursts(
+                    &instances,
+                    &offsets,
+                    self.pipeline_depth,
+                    epoch,
+                    &latency,
+                    &mut tally,
+                    |burst| client.optimize_pipelined(burst),
+                )?;
             }
         }
         Ok(ClassReport::from_histogram(class, &latency, tally))
@@ -380,6 +370,34 @@ impl LoadgenConfig {
         };
         DriftStream::new(config)
     }
+}
+
+/// Sends `items` in bursts of `depth` coalesced into one `send` call.
+/// A burst goes out no earlier than its *last* member's due time
+/// (`epoch + offset`): a request cannot be sent before it arrives. Every
+/// member's latency is measured from its own due time, so the wait for
+/// the rest of its burst is charged like any other queueing.
+fn drive_bursts<T>(
+    items: &[T],
+    offsets: &[Duration],
+    depth: usize,
+    epoch: Instant,
+    latency: &Histogram,
+    tally: &mut Tally,
+    mut send: impl FnMut(&[T]) -> io::Result<Vec<Response>>,
+) -> io::Result<()> {
+    for (burst, burst_offsets) in items.chunks(depth).zip(offsets.chunks(depth)) {
+        let last_due = burst_offsets.iter().max().expect("chunks are non-empty");
+        sleep_until(epoch + *last_due);
+        let responses = send(burst)?;
+        let done = Instant::now();
+        for (response, offset) in responses.iter().zip(burst_offsets) {
+            tally.sent += 1;
+            tally.observe(response);
+            latency.record_duration(done.saturating_duration_since(epoch + *offset));
+        }
+    }
+    Ok(())
 }
 
 /// Cumulative Poisson arrival offsets: `requests` exponential
@@ -441,6 +459,29 @@ mod tests {
         // Deterministic in the seed.
         let again: Vec<Duration> = poisson_schedule(2_000, 1_000.0, 7).collect();
         assert_eq!(offsets, again);
+    }
+
+    /// Regression: a burst used to go out at its *first* member's due
+    /// time, so later members were sent before they arrived and recorded
+    /// a latency of zero. A `p50 > 0` check cannot see that.
+    #[test]
+    fn bursts_never_send_a_member_before_it_is_due() {
+        let offsets: Vec<Duration> = poisson_schedule(48, 2_000.0, 11).collect();
+        let items: Vec<usize> = (0..offsets.len()).collect();
+        let latency = Histogram::new();
+        let mut tally = Tally::default();
+        let epoch = Instant::now();
+        drive_bursts(&items, &offsets, 8, epoch, &latency, &mut tally, |burst| {
+            let sent = Instant::now();
+            for &i in burst {
+                assert!(sent >= epoch + offsets[i], "member {i} sent before it was due");
+            }
+            Ok(burst.iter().map(|_| Response::Pong).collect())
+        })
+        .expect("fake transport never fails");
+        assert_eq!(tally.sent, 48);
+        assert_eq!(latency.count(), 48);
+        assert!(latency.min() > 0, "a recorded latency of zero is a bug");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Grid phase of the second probe: a parameter walking across a
 /// boundary of the primary grid sits at the center of this one.
@@ -187,10 +188,12 @@ struct Entry {
     /// Bottleneck cost of the plan on the instance that produced it —
     /// the reference value a bucket-hit validates against.
     cost: f64,
-    /// The representative instance in `dsq-instance` text form: what
-    /// snapshots persist, so a restored cache can re-verify fingerprints
-    /// and re-derive probe aliases.
-    instance: String,
+    /// The representative instance, parsed. A primary entry and its
+    /// probe-2 alias share one allocation. Its `dsq-instance` text is
+    /// rendered only when it leaves the process (snapshots and
+    /// partition exports), so a restored cache can re-verify
+    /// fingerprints and re-derive probe aliases.
+    instance: Arc<QueryInstance>,
     /// `true` for primary-grid entries (the ones snapshots serialize).
     primary: bool,
     /// `true` when the plan came from a completed exact search; `false`
@@ -275,7 +278,7 @@ impl Shard {
 struct PendingEntry {
     canonical_plan: Vec<u32>,
     cost: f64,
-    instance: String,
+    instance: Arc<QueryInstance>,
     primary: bool,
     exact: bool,
 }
@@ -396,16 +399,12 @@ impl PlanCache {
         cost: f64,
         exact: bool,
     ) {
-        // Heuristic-tier entries are transient — skipped by `snapshot`
-        // and re-written (exact, with a fresh serialization) when their
-        // refinement lands — so serializing the instance for them would
-        // only tax the tier-1 latency the tier exists to protect.
-        let text = if exact { format_instance(instance) } else { String::new() };
+        let shared = Arc::new(instance.clone());
         let capacity = self.config.capacity_per_shard;
         let pending = PendingEntry {
             canonical_plan: primary.plan_to_canonical(plan),
             cost,
-            instance: text.clone(),
+            instance: Arc::clone(&shared),
             primary: true,
             exact,
         };
@@ -417,7 +416,7 @@ impl PlanCache {
             let alias = PendingEntry {
                 canonical_plan: shifted.plan_to_canonical(plan),
                 cost,
-                instance: text,
+                instance: shared,
                 primary: false,
                 exact,
             };
@@ -617,18 +616,35 @@ impl PlanCache {
     /// Entries are ordered by fingerprint, so equal caches produce
     /// byte-identical snapshots regardless of insertion order.
     pub fn snapshot(&self) -> PlanSnapshot {
-        let mut entries: Vec<SnapshotEntry> = Vec::new();
+        // Clone the `Arc`s under each shard lock; render text after
+        // releasing it, so serving never waits on `format_instance`.
+        let mut resident: Vec<(u64, f64, Vec<u32>, Arc<QueryInstance>)> = Vec::new();
         for shard in &self.shards {
             let guard = shard.lock();
             for (&fingerprint, entry) in guard.map.iter().filter(|(_, e)| e.primary && e.exact) {
-                entries.push(SnapshotEntry {
+                resident.push((
                     fingerprint,
-                    cost: entry.cost,
-                    canonical_plan: entry.canonical_plan.clone(),
-                    instance: entry.instance.clone(),
-                });
+                    entry.cost,
+                    entry.canonical_plan.clone(),
+                    Arc::clone(&entry.instance),
+                ));
             }
         }
+        let entries = resident
+            .into_iter()
+            .map(|(fingerprint, cost, canonical_plan, instance)| SnapshotEntry {
+                fingerprint,
+                cost,
+                canonical_plan,
+                instance: format_instance(&instance),
+            })
+            .collect();
+        self.sorted_snapshot(entries)
+    }
+
+    /// Orders `entries` by fingerprint and wraps them under this cache's
+    /// quantization.
+    fn sorted_snapshot(&self, mut entries: Vec<SnapshotEntry>) -> PlanSnapshot {
         entries.sort_by_key(|e| e.fingerprint);
         PlanSnapshot::new(&self.config.quantization, entries)
     }
@@ -649,7 +665,7 @@ impl PlanCache {
     /// Entries are ordered by fingerprint, so equal caches produce
     /// byte-identical exports regardless of insertion order.
     pub fn export_partition(&self, moved: impl Fn(u64) -> bool) -> PlanSnapshot {
-        let mut entries: Vec<SnapshotEntry> = Vec::new();
+        let mut removed: Vec<(u64, Entry)> = Vec::new();
         for shard in &self.shards {
             let mut guard = shard.lock();
             let moving: Vec<u64> = guard
@@ -660,12 +676,7 @@ impl PlanCache {
                 .collect();
             for fingerprint in moving {
                 let entry = guard.map.remove(&fingerprint).expect("listed under this lock");
-                entries.push(SnapshotEntry {
-                    fingerprint,
-                    cost: entry.cost,
-                    canonical_plan: entry.canonical_plan,
-                    instance: entry.instance,
-                });
+                removed.push((fingerprint, entry));
             }
         }
         // Drop the exported entries' shifted-grid aliases (possibly in
@@ -673,10 +684,12 @@ impl PlanCache {
         // An alias fingerprint that collides with a resident *primary*
         // entry is someone else's logical plan and is left alone.
         if self.config.probes == 2 {
-            for exported in &entries {
-                let Ok(instance) = parse_instance(&exported.instance) else { continue };
-                let shifted =
-                    CanonicalKey::with_phase(&instance, &self.config.quantization, PROBE_PHASE);
+            for (_, entry) in &removed {
+                let shifted = CanonicalKey::with_phase(
+                    &entry.instance,
+                    &self.config.quantization,
+                    PROBE_PHASE,
+                );
                 let shard = self.shard(shifted.fingerprint());
                 let mut guard = shard.lock();
                 if guard.map.get(&shifted.fingerprint()).is_some_and(|entry| !entry.primary) {
@@ -684,8 +697,16 @@ impl PlanCache {
                 }
             }
         }
-        entries.sort_by_key(|e| e.fingerprint);
-        PlanSnapshot::new(&self.config.quantization, entries)
+        let entries = removed
+            .into_iter()
+            .map(|(fingerprint, entry)| SnapshotEntry {
+                fingerprint,
+                cost: entry.cost,
+                instance: format_instance(&entry.instance),
+                canonical_plan: entry.canonical_plan,
+            })
+            .collect();
+        self.sorted_snapshot(entries)
     }
 
     /// Loads a snapshot into this cache (on top of whatever is already
@@ -694,7 +715,7 @@ impl PlanCache {
     /// parse, must hash back to the recorded fingerprint under this
     /// cache's quantization, and the canonical plan must transport onto
     /// it. With `probes: 2`, shifted-grid aliases are re-derived from the
-    /// instance text **after** every primary entry has been inserted, and
+    /// parsed instance **after** every primary entry has been inserted, and
     /// admitted without counting against shard capacity — so a restore
     /// that exactly fills a shard never has its primaries evicted by
     /// their own derived aliases (normal traffic trims the transient
@@ -714,7 +735,7 @@ impl PlanCache {
                 cache: self.config.quantization.resolution,
             });
         }
-        let mut verified: Vec<(QueryInstance, CanonicalKey, Plan, f64)> = Vec::new();
+        let mut verified: Vec<(Arc<QueryInstance>, CanonicalKey, Plan, f64)> = Vec::new();
         for (index, entry) in snapshot.entries.iter().enumerate() {
             let invalid = |reason: String| RestoreError::InvalidEntry { index, reason };
             let instance = parse_instance(&entry.instance)
@@ -729,7 +750,7 @@ impl PlanCache {
             if !entry.cost.is_finite() {
                 return Err(invalid("non-finite cost".into()));
             }
-            verified.push((instance, key, plan, entry.cost));
+            verified.push((Arc::new(instance), key, plan, entry.cost));
         }
 
         let capacity = self.config.capacity_per_shard;
@@ -737,7 +758,7 @@ impl PlanCache {
             let pending = PendingEntry {
                 canonical_plan: key.plan_to_canonical(plan),
                 cost: *cost,
-                instance: format_instance(instance),
+                instance: Arc::clone(instance),
                 primary: true,
                 exact: true,
             };
@@ -756,7 +777,7 @@ impl PlanCache {
                 let alias = PendingEntry {
                     canonical_plan: shifted.plan_to_canonical(plan),
                     cost: *cost,
-                    instance: format_instance(instance),
+                    instance: Arc::clone(instance),
                     primary: false,
                     exact: true,
                 };
@@ -1225,5 +1246,88 @@ mod tests {
             .restore(&tampered)
             .expect_err("instance truncated");
         assert!(err.to_string().starts_with("snapshot entry 0: instance does not parse:"), "{err}");
+    }
+
+    /// A fixed corpus mixing primary entries, probe-2 aliases, LRU
+    /// evictions, warm starts, heuristic-tier entries and one upgraded
+    /// entry, served into a small two-probe cache.
+    fn seeded_corpus_cache() -> PlanCache {
+        let cache = PlanCache::new(CacheConfig {
+            shards: 2,
+            capacity_per_shard: 8,
+            probes: 2,
+            ..CacheConfig::default()
+        });
+        let greedy = |inst: &QueryInstance| {
+            let result = dsq_baselines::fast_greedy(inst);
+            (result.plan().clone(), result.cost())
+        };
+        for seed in 0..12u64 {
+            let inst = instance(70 + seed, 6);
+            if seed % 4 == 3 {
+                cache.serve_heuristic(&inst, &BnbConfig::paper(), greedy);
+            } else {
+                cache.serve(&inst, &BnbConfig::paper());
+            }
+        }
+        let (below, above) = boundary_pair();
+        cache.serve(&below, &BnbConfig::paper());
+        cache.serve(&above, &BnbConfig::paper());
+        let centered = bucket_centered(90, 6);
+        cache.serve(&centered, &BnbConfig::paper());
+        cache.serve(&drifted(&centered, 1.004), &BnbConfig::paper());
+        let pending = instance(91, 6);
+        cache.serve_heuristic(&pending, &BnbConfig::paper(), greedy);
+        let refined = optimize(&pending);
+        assert!(cache.upgrade(&pending, refined.plan(), refined.cost()));
+        cache.serve_heuristic(&instance(92, 6), &BnbConfig::paper(), greedy);
+        cache
+    }
+
+    fn text_digest(text: &str) -> u64 {
+        let mut hash = dsq_core::Fnv1a::new();
+        hash.write_str(text);
+        hash.finish()
+    }
+
+    /// Pins the on-disk bytes of snapshots and partition exports over a
+    /// seeded corpus, so a change to how entries are held in memory can
+    /// not move the persisted format.
+    #[test]
+    fn snapshot_and_export_text_are_pinned_on_a_seeded_corpus() {
+        let cache = seeded_corpus_cache();
+        let stats = cache.stats();
+        assert!(stats.evictions > 0, "{stats:?}");
+        assert!(stats.heuristic_entries > 0, "{stats:?}");
+        assert!(stats.entries > stats.heuristic_entries, "{stats:?}");
+        let full = cache.snapshot();
+        // Move the lower half of the resident fingerprints.
+        let cut = full.entries[full.entries.len() / 2].fingerprint;
+        let exported = cache.export_partition(|fp| fp < cut);
+        assert_eq!((full.entries.len(), exported.entries.len()), (6, 3));
+        assert_eq!(cache.stats().entries, 10, "three primaries and their aliases moved");
+        // Digests of the same corpus before entries held parsed instances.
+        assert_eq!(text_digest(&full.to_text()), 0x9a0be4db439bd744);
+        assert_eq!(text_digest(&exported.to_text()), 0xb726ad02ab815540);
+        assert_eq!(text_digest(&cache.snapshot().to_text()), 0xbbec734a4d7693d4);
+    }
+
+    /// A write-back parses nothing and renders nothing: the primary entry
+    /// and its probe-2 alias hold the same instance allocation.
+    #[test]
+    fn primary_and_alias_share_one_instance() {
+        let cache = PlanCache::new(CacheConfig { probes: 2, ..CacheConfig::default() });
+        let (below, _) = boundary_pair();
+        cache.serve(&below, &BnbConfig::paper());
+        let quantization = &cache.config().quantization;
+        let primary = CanonicalKey::new(&below, quantization).fingerprint();
+        let alias = CanonicalKey::with_phase(&below, quantization, PROBE_PHASE).fingerprint();
+        let held = |fingerprint: u64| {
+            let guard = cache.shard(fingerprint).lock();
+            Arc::clone(&guard.map[&fingerprint].instance)
+        };
+        let (primary, alias) = (held(primary), held(alias));
+        assert!(Arc::ptr_eq(&primary, &alias));
+        assert_eq!(*primary, below);
     }
 }

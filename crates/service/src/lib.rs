@@ -50,6 +50,9 @@
 //!   text per entry), and restore re-verifies every fingerprint, so a
 //!   restarted process — or a whole fleet — starts warm instead of
 //!   cold. The `dsq-server` daemon builds its warm restarts on this.
+//!   In memory an entry holds the parsed instance, shared by the
+//!   primary entry and its probe-2 alias; instance text exists only in
+//!   snapshots and partition exports, rendered when they are taken.
 //!
 //! ```
 //! use dsq_core::{BnbConfig, CommMatrix, QueryInstance, Service};
