@@ -48,6 +48,7 @@ impl Default for BatchOptions {
 /// ```
 /// use dsq_core::{CommMatrix, QueryInstance, Service};
 /// use dsq_service::{optimize_batch, BatchOptions, CacheConfig, PlanCache};
+/// use std::num::NonZeroUsize;
 ///
 /// let cache = PlanCache::new(CacheConfig::default());
 /// let requests: Vec<QueryInstance> = (0..6)
@@ -59,9 +60,12 @@ impl Default for BatchOptions {
 ///         .unwrap()
 ///     })
 ///     .collect();
-/// let results = optimize_batch(&cache, &requests, &BatchOptions::default());
+/// // One worker: with more, two copies of a shape can both miss before
+/// // either writes back, and the repeats would not be guaranteed to hit.
+/// let options = BatchOptions { workers: NonZeroUsize::MIN, ..BatchOptions::default() };
+/// let results = optimize_batch(&cache, &requests, &options);
 /// assert_eq!(results.len(), 6);
-/// assert!(cache.stats().hits >= 4, "repeated shapes hit the cache");
+/// assert_eq!(cache.stats().hits, 4, "repeated shapes hit the cache");
 /// ```
 pub fn optimize_batch(
     cache: &PlanCache,

@@ -618,7 +618,7 @@ impl PlanCache {
     pub fn snapshot(&self) -> PlanSnapshot {
         // Clone the `Arc`s under each shard lock; render text after
         // releasing it, so serving never waits on `format_instance`.
-        let mut resident: Vec<(u64, f64, Vec<u32>, Arc<QueryInstance>)> = Vec::new();
+        let mut resident = Vec::new();
         for shard in &self.shards {
             let guard = shard.lock();
             for (&fingerprint, entry) in guard.map.iter().filter(|(_, e)| e.primary && e.exact) {
@@ -630,7 +630,15 @@ impl PlanCache {
                 ));
             }
         }
-        let entries = resident
+        self.render(resident)
+    }
+
+    /// Orders `entries` by fingerprint, renders their instance text and
+    /// wraps them under this cache's quantization. Callers hold no shard
+    /// lock.
+    fn render(&self, mut entries: Vec<(u64, f64, Vec<u32>, Arc<QueryInstance>)>) -> PlanSnapshot {
+        entries.sort_by_key(|&(fingerprint, ..)| fingerprint);
+        let entries = entries
             .into_iter()
             .map(|(fingerprint, cost, canonical_plan, instance)| SnapshotEntry {
                 fingerprint,
@@ -639,13 +647,6 @@ impl PlanCache {
                 instance: format_instance(&instance),
             })
             .collect();
-        self.sorted_snapshot(entries)
-    }
-
-    /// Orders `entries` by fingerprint and wraps them under this cache's
-    /// quantization.
-    fn sorted_snapshot(&self, mut entries: Vec<SnapshotEntry>) -> PlanSnapshot {
-        entries.sort_by_key(|e| e.fingerprint);
         PlanSnapshot::new(&self.config.quantization, entries)
     }
 
@@ -665,7 +666,7 @@ impl PlanCache {
     /// Entries are ordered by fingerprint, so equal caches produce
     /// byte-identical exports regardless of insertion order.
     pub fn export_partition(&self, moved: impl Fn(u64) -> bool) -> PlanSnapshot {
-        let mut removed: Vec<(u64, Entry)> = Vec::new();
+        let mut removed = Vec::new();
         for shard in &self.shards {
             let mut guard = shard.lock();
             let moving: Vec<u64> = guard
@@ -676,7 +677,7 @@ impl PlanCache {
                 .collect();
             for fingerprint in moving {
                 let entry = guard.map.remove(&fingerprint).expect("listed under this lock");
-                removed.push((fingerprint, entry));
+                removed.push((fingerprint, entry.cost, entry.canonical_plan, entry.instance));
             }
         }
         // Drop the exported entries' shifted-grid aliases (possibly in
@@ -684,12 +685,9 @@ impl PlanCache {
         // An alias fingerprint that collides with a resident *primary*
         // entry is someone else's logical plan and is left alone.
         if self.config.probes == 2 {
-            for (_, entry) in &removed {
-                let shifted = CanonicalKey::with_phase(
-                    &entry.instance,
-                    &self.config.quantization,
-                    PROBE_PHASE,
-                );
+            for (_, _, _, instance) in &removed {
+                let shifted =
+                    CanonicalKey::with_phase(instance, &self.config.quantization, PROBE_PHASE);
                 let shard = self.shard(shifted.fingerprint());
                 let mut guard = shard.lock();
                 if guard.map.get(&shifted.fingerprint()).is_some_and(|entry| !entry.primary) {
@@ -697,16 +695,7 @@ impl PlanCache {
                 }
             }
         }
-        let entries = removed
-            .into_iter()
-            .map(|(fingerprint, entry)| SnapshotEntry {
-                fingerprint,
-                cost: entry.cost,
-                instance: format_instance(&entry.instance),
-                canonical_plan: entry.canonical_plan,
-            })
-            .collect();
-        self.sorted_snapshot(entries)
+        self.render(removed)
     }
 
     /// Loads a snapshot into this cache (on top of whatever is already
