@@ -387,4 +387,129 @@ mod tests {
         assert!(std::error::Error::source(&e).is_some());
         assert!(ParseInstanceError::BadHeader.to_string().contains("dsq-instance"));
     }
+
+    /// Every result here (instance or error variant, line and reason)
+    /// is pinned exactly: non-ASCII whitespace, `\r\n` line ends,
+    /// duplicate and re-declared sections, and each error path, so a
+    /// faster tokenizer or matrix layout cannot change what any document
+    /// parses to.
+    const PINNED: &[(&str, &str)] = &[
+        ("",
+         r#"Err(BadHeader)"#),
+        ("name x\n",
+         r#"Err(BadHeader)"#),
+        ("dsq-instance v2\nn 1\nservice 0 1 1\nrow 0 0\n",
+         r#"Err(BadHeader)"#),
+        ("dsq-instance\u{a0}v1\nn 1\nservice 0 1 1\nrow 0 0\n",
+         r#"Err(BadHeader)"#),
+        ("dsq-instance  v1\nn 1\nservice 0 1 1\nrow 0 0\n",
+         r#"Err(BadHeader)"#),
+        ("\n# lead\n\t\n  dsq-instance v1  \r\nn 1\r\nservice 0 1 0.5\r\nrow 0 0\r\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }], comm: CommMatrix { n: 1, data: [0.0] }, sink: [0.0], precedence: None })"#),
+        ("\u{2003}dsq-instance v1\u{3000}\nn 1\nservice 0 1 0.5\nrow 0 0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }], comm: CommMatrix { n: 1, data: [0.0] }, sink: [0.0], precedence: None })"#),
+        ("dsq-instance v1\nn\u{a0}2\nservice\u{2009}0 1 0.5\nservice 1 2 0.25\nrow 0 0\u{2009}1\nrow 1 1\u{3000}0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nname \u{3000}alpha\u{a0} beta\t\nn 1\nservice 0 1 0.5  my   svc\u{a0}x\nrow 0 0\n",
+         r#"Ok(QueryInstance { name: "alpha\u{a0} beta", services: [Service { cost: 1.0, selectivity: 0.5, name: Some("my svc x") }], comm: CommMatrix { n: 1, data: [0.0] }, sink: [0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nrow 0 0 7\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 7.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5 first\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nservice 0 3 0.75\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 3.0, selectivity: 0.75, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nrow 0 0 1\nn 3\nservice 1 2 0.25\nservice 2 2 0.25\nrow 1 1 0 1\nrow 2 1 1 0\n",
+         r#"Err(Invalid(DimensionMismatch { what: "communication matrix row", expected: 3, found: 2 }))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nrow 0 0 1\nn 3\nn 2\nservice 1 2 0.25\nrow 1 1 0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 3\nservice 0 1 0.5\nservice 1 2 0.25\nservice 2 2 0.25\nrow 0 0 -1 1\nrow 1 1 0 1\nrow 2 1 1 0\nn 2\nrow 1 1 0\n",
+         r#"Err(Invalid(DimensionMismatch { what: "communication matrix row", expected: 2, found: 3 }))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 x\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 5, reason: "bad transfer cost" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1 x\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 5, reason: "bad transfer cost" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 5, reason: "row width must equal n" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 -1\nrow 1 1 0\n",
+         r#"Err(Invalid(InvalidValue { what: "transfer cost", value: -1.0 }))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 NaN\nrow 1 1 0\n",
+         r#"Err(Invalid(InvalidValue { what: "transfer cost", value: NaN }))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1e400\nrow 1 1 0\n",
+         r#"Err(Invalid(InvalidValue { what: "transfer cost", value: inf }))"#),
+        ("dsq-instance v1\nn 2\nservice 0 -0 0.5\nservice 1 2 -0\nrow 0 -0 +1\nrow 1 1.5e-3 0\nsink -0 0.125\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: -0.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: -0.0, name: None }], comm: CommMatrix { n: 2, data: [-0.0, 1.0, 0.0015, 0.0] }, sink: [-0.0, 0.125], precedence: None })"#),
+        ("dsq-instance v1\nn 2\nservice 0 inf 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 3, reason: "bad service cost" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0x10\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 3, reason: "bad service selectivity" })"#),
+        ("dsq-instance v1\nn 2\nservice 2 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 3, reason: "service index out of range" })"#),
+        ("dsq-instance v1\nservice 0 1 0.5\nn 2\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 2, reason: "`n` must come before `service`" })"#),
+        ("dsq-instance v1\nrow 0 0 1\nn 2\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 2, reason: "`n` must come before `row`" })"#),
+        ("dsq-instance v1\nsink 0 1\nn 2\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 2, reason: "`n` must come before `sink`" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nsink 0\n",
+         r#"Err(Malformed { line: 7, reason: "sink width must equal n" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nsink 0 NaN\n",
+         r#"Err(Invalid(InvalidValue { what: "sink cost", value: NaN }))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nsink 0 q\n",
+         r#"Err(Malformed { line: 7, reason: "bad sink cost" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nedge 0\n",
+         r#"Err(Malformed { line: 7, reason: "bad edge endpoint" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nedge 0 5\n",
+         r#"Err(Invalid(PrecedenceOutOfRange { service: 5, len: 2 }))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nedge 1 1\n",
+         r#"Err(Invalid(SelfPrecedence(1)))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nedge 0 1 extra\nedge 1 0\n",
+         r#"Err(Invalid(PrecedenceCycle))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nedge 1 0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: Some(PrecedenceDag { n: 2, preds: [{1}, {}], edges: [(1, 0)] }) })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrоw 1 1 0\n",
+         r#"Err(Malformed { line: 6, reason: "unknown keyword `rоw`" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nnamex foo\n",
+         r#"Err(Malformed { line: 7, reason: "unknown keyword `namex`" })"#),
+        ("dsq-instance v1\nn -1\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 2, reason: "n requires a positive integer" })"#),
+        ("dsq-instance v1\nn +2 trailing\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nn ٣\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 2, reason: "n requires a positive integer" })"#),
+        ("dsq-instance v1\nn 0\n# nothing else declared here, padding the document\n",
+         r#"Err(Invalid(EmptyInstance))"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nrow 0 0 1\nrow 1 1 0\n# padding padding\n",
+         r#"Err(Malformed { line: 0, reason: "service 1 was never declared" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 1 1 0\n# padding\n",
+         r#"Err(Malformed { line: 0, reason: "row 0 was never declared" })"#),
+        ("dsq-instance v1\nname only\n",
+         r#"Err(MissingSection("n"))"#),
+        ("dsq-instance v1\nname\nn 1\nservice 0 1 0.5\nrow 0 0\n",
+         r#"Err(Malformed { line: 2, reason: "name requires a value" })"#),
+        ("dsq-instance v1\nname \u{a0}  \nn 1\nservice 0 1 0.5\nrow 0 0\n",
+         r#"Err(Malformed { line: 2, reason: "name requires a value" })"#),
+        ("dsq-instance v1\nname a#b\nn 1 # count\nservice 0 1 0.5 #svc\n#\nrow 0 0 # t\n",
+         r#"Ok(QueryInstance { name: "a", services: [Service { cost: 1.0, selectivity: 0.5, name: None }], comm: CommMatrix { n: 1, data: [0.0] }, sink: [0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 2\nservice 0\u{b}1\u{c}0.5\nservice 1\t2\r0.25\nrow 0 0\u{b}1\nrow 1 1\u{c}0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\r\nn 2\r\n\r\nservice 0 1 0.5\r\nservice 1 2 0.25\r\n# c\r\nrow 0 0 1\r\nrow 1 1 0\r\nbogus\r\n",
+         r#"Err(Malformed { line: 9, reason: "unknown keyword `bogus`" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5 été\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: Some("été") }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nsink 0 0\nsink 0.5 0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.5, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 ٣\nrow 1 1 0\n",
+         r#"Err(Malformed { line: 5, reason: "bad transfer cost" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\u{a0}\nrow 1 1 0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 18446744073709551616\nservice 0 1 0.5\nrow 0 0\n",
+         r#"Err(Malformed { line: 2, reason: "n requires a positive integer" })"#),
+        ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 1\nrow 1 1 0\nedge 18446744073709551616 0\n",
+         r#"Err(Malformed { line: 7, reason: "bad edge endpoint" })"#),
+    ];
+
+    #[test]
+    fn parse_results_are_pinned_on_a_table_of_documents() {
+        for (i, (doc, expected)) in PINNED.iter().enumerate() {
+            assert_eq!(&format!("{:?}", parse_instance(doc)), expected, "case {i}: {doc:?}");
+        }
+    }
 }
