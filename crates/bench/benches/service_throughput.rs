@@ -1,10 +1,13 @@
-//! E13's timing series: the serving layer's request costs — fingerprint
-//! computation, validated cache hits, cold optimization, cache misses
-//! with their write-back, and whole drifting-stream batches — at the
-//! production-relevant n = 12.
+//! E13's timing series: the serving layer's request costs — instance
+//! parsing, fingerprint computation, validated cache hits, cold
+//! optimization, cache misses with their write-back, and whole
+//! drifting-stream batches — at the production-relevant n = 12, with
+//! parsing and fingerprinting also at n = 6 and 32.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dsq_core::{optimize_with, BnbConfig, CanonicalKey, Quantization};
+use dsq_core::{
+    format_instance, optimize_with, parse_instance, BnbConfig, CanonicalKey, Quantization,
+};
 use dsq_service::{optimize_batch, BatchOptions, CacheConfig, PlanCache};
 use dsq_workloads::{generate, DriftConfig, DriftStream, Family};
 use std::hint::black_box;
@@ -26,10 +29,22 @@ fn bench_serving(c: &mut Criterion) {
     let requests = stream(Family::BtspHard, 48);
     let config = BnbConfig::paper();
 
-    group.bench_with_input(BenchmarkId::new("fingerprint", N), &requests[0], |b, inst| {
-        let quantization = Quantization::new(0.2);
-        b.iter(|| black_box(CanonicalKey::new(black_box(inst), &quantization)))
-    });
+    // The daemon's front end for every request: the text of an instance
+    // document, then its fingerprint.
+    for n in [6, N, 32] {
+        let text = format_instance(&generate(Family::Clustered, n, 5));
+        group.bench_with_input(BenchmarkId::new("parse_instance", n), &text, |b, text| {
+            b.iter(|| black_box(parse_instance(black_box(text)).expect("parses")))
+        });
+    }
+    for n in [6, N, 32] {
+        let first = DriftStream::new(DriftConfig::new(Family::BtspHard, n, 23, 1)).next();
+        let inst = if n == N { requests[0].clone() } else { first.expect("one request") };
+        group.bench_with_input(BenchmarkId::new("fingerprint", n), &inst, |b, inst| {
+            let quantization = Quantization::new(0.2);
+            b.iter(|| black_box(CanonicalKey::new(black_box(inst), &quantization)))
+        });
+    }
 
     group.bench_with_input(
         BenchmarkId::new("cold_optimize", format!("btsp-n{N}")),

@@ -189,26 +189,53 @@ impl CanonicalKey {
             }
         }
 
-        // Per-service, label-independent sort key: quantized scalar
-        // parameters plus the sorted multisets of outgoing and incoming
-        // transfer buckets. Ties (identical keys) fall back to original
-        // index order — canonicalization is best-effort for relabels.
-        let mut keys: Vec<(Vec<i64>, usize)> = (0..n)
-            .map(|i| {
-                let mut key = Vec::with_capacity(3 + 2 * n.saturating_sub(1));
-                key.extend_from_slice(&scalars[3 * i..3 * i + 3]);
-                let row_start = key.len();
-                key.extend((0..n).filter(|&j| j != i).map(|j| transfers[i * n + j]));
-                key[row_start..].sort_unstable();
-                let col_start = key.len();
-                key.extend((0..n).filter(|&j| j != i).map(|j| transfers[j * n + i]));
-                key[col_start..].sort_unstable();
-                (key, i)
-            })
-            .collect();
-        keys.sort();
+        // Canonical order sorts services by a label-independent key: the
+        // three quantized scalar parameters, then the sorted multisets of
+        // outgoing and incoming transfer buckets. Ties (identical keys)
+        // fall back to original index order — canonicalization is
+        // best-effort for relabels. The scalars decide most comparisons,
+        // so services are sorted by them first and the multisets are
+        // built only for services whose scalars tie.
+        let scalar = |o: u32| -> [i64; 3] {
+            let i = 3 * o as usize;
+            [scalars[i], scalars[i + 1], scalars[i + 2]]
+        };
+        let mut from_canonical: Vec<u32> = (0..n as u32).collect();
+        from_canonical.sort_unstable_by_key(|&o| (scalar(o), o));
+        let mut start = 0;
+        while start < n {
+            let key = scalar(from_canonical[start]);
+            let len = from_canonical[start..].iter().take_while(|&&o| scalar(o) == key).count();
+            if len > 1 {
+                let tied = &mut from_canonical[start..start + len];
+                let width = 2 * (n - 1);
+                let mut multisets = vec![0i64; len * width];
+                for (&o, set) in tied.iter().zip(multisets.chunks_exact_mut(width)) {
+                    let o = o as usize;
+                    let (out, incoming) = set.split_at_mut(n - 1);
+                    let others = (0..n).filter(|&j| j != o);
+                    for (slot, j) in out.iter_mut().zip(others.clone()) {
+                        *slot = transfers[o * n + j];
+                    }
+                    for (slot, j) in incoming.iter_mut().zip(others) {
+                        *slot = transfers[j * n + o];
+                    }
+                    out.sort_unstable();
+                    incoming.sort_unstable();
+                }
+                // `tied` is in index order, so position breaks the
+                // remaining ties exactly as the index does.
+                let mut order: Vec<usize> = (0..len).collect();
+                order.sort_unstable_by(|&a, &b| {
+                    let set = |k: usize| &multisets[k * width..(k + 1) * width];
+                    set(a).cmp(set(b)).then(a.cmp(&b))
+                });
+                let sorted: Vec<u32> = order.iter().map(|&k| tied[k]).collect();
+                tied.copy_from_slice(&sorted);
+            }
+            start += len;
+        }
 
-        let from_canonical: Vec<u32> = keys.iter().map(|(_, i)| *i as u32).collect();
         let mut to_canonical = vec![0u32; n];
         for (c, &o) in from_canonical.iter().enumerate() {
             to_canonical[o as usize] = c as u32;

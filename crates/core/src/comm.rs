@@ -96,6 +96,16 @@ impl CommMatrix {
         Ok(CommMatrix { n, data })
     }
 
+    /// Takes ownership of `n × n` row-major entries, with the checks and
+    /// errors of [`CommMatrix::from_rows`] on rows of width `n`.
+    pub(crate) fn from_row_major(n: usize, data: Vec<f64>) -> Result<Self, ModelError> {
+        assert_eq!(data.len(), n * n, "row-major data holds n × n entries");
+        if let Some(&v) = data.iter().find(|v| !v.is_finite() || **v < 0.0) {
+            return Err(ModelError::InvalidValue { what: "transfer cost", value: v });
+        }
+        Ok(CommMatrix { n, data })
+    }
+
     /// The number of services (matrix dimension).
     pub fn len(&self) -> usize {
         self.n

@@ -27,6 +27,7 @@ use crate::precedence::PrecedenceDag;
 use crate::service::Service;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Error raised by [`parse_instance`].
 #[derive(Debug, Clone, PartialEq)]
@@ -116,6 +117,61 @@ pub fn format_instance(instance: &QueryInstance) -> String {
     out
 }
 
+/// Whether `b` is an ASCII character that [`char::is_whitespace`]
+/// accepts. Unlike [`u8::is_ascii_whitespace`] this includes the
+/// vertical tab, so ASCII lines split and trim exactly as `str` does.
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// [`str::trim`], with a byte-level fast path for ASCII text.
+fn trim(text: &str, ascii: bool) -> &str {
+    if !ascii {
+        return text.trim();
+    }
+    let bytes = text.as_bytes();
+    let start = bytes.iter().position(|&b| !is_space(b)).unwrap_or(bytes.len());
+    let end = bytes.iter().rposition(|&b| !is_space(b)).map_or(start, |i| i + 1);
+    &text[start..end]
+}
+
+/// Replaces `out` with the whitespace-separated fields of `line`: the
+/// same fields as [`str::split_whitespace`], found without decoding
+/// characters when the line is ASCII.
+fn split_fields<'a>(line: &'a str, ascii: bool, out: &mut Vec<&'a str>) {
+    out.clear();
+    if !ascii {
+        out.extend(line.split_whitespace());
+        return;
+    }
+    let bytes = line.as_bytes();
+    let mut at = 0;
+    while at < bytes.len() {
+        while at < bytes.len() && is_space(bytes[at]) {
+            at += 1;
+        }
+        let start = at;
+        while at < bytes.len() && !is_space(bytes[at]) {
+            at += 1;
+        }
+        if start < at {
+            out.push(&line[start..at]);
+        }
+    }
+}
+
+/// Whether a document of `len` bytes can hold `n` services: each needs a
+/// `service` line (at least `service 0 0 0`, 13 bytes) and a `row` line
+/// (at least `row 0` and `n` values, 5 + 2n bytes). Checked before any
+/// table is sized to `n`, so a short document cannot make the parser
+/// allocate for a huge one.
+fn fits(n: usize, len: usize) -> bool {
+    n.checked_mul(2)
+        .and_then(|w| w.checked_add(18))
+        .and_then(|w| w.checked_mul(n))
+        .is_some_and(|need| need <= len)
+}
+
 /// Parses the text format (see module docs).
 ///
 /// # Errors
@@ -123,35 +179,50 @@ pub fn format_instance(instance: &QueryInstance) -> String {
 /// Returns [`ParseInstanceError`] describing the offending line or the
 /// model-validation failure.
 pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.split('#').next().unwrap_or("").trim()))
-        .filter(|(_, l)| !l.is_empty());
+    // `(line number, content without comment and surrounding
+    // whitespace, whether that content is ASCII)` of non-empty lines.
+    let mut lines = text.lines().enumerate().filter_map(|(i, raw)| {
+        let content = raw.find('#').map_or(raw, |at| &raw[..at]);
+        let ascii = content.is_ascii();
+        let line = trim(content, ascii);
+        (!line.is_empty()).then_some((i + 1, line, ascii))
+    });
 
     match lines.next() {
-        Some((_, "dsq-instance v1")) => {}
+        Some((_, "dsq-instance v1", _)) => {}
         _ => return Err(ParseInstanceError::BadHeader),
     }
 
     let mut name: Option<String> = None;
     let mut n: Option<usize> = None;
     let mut services: Vec<Option<Service>> = Vec::new();
-    let mut rows: Vec<Option<Vec<f64>>> = Vec::new();
+    // Every `row` line's values, appended in line order; `rows[i]` is
+    // where the latest declaration of row `i` sits. Rows declared once
+    // each, in order, at the final width are exactly the row-major
+    // matrix, which then takes this buffer without a copy.
+    let mut values: Vec<f64> = Vec::new();
+    let mut rows: Vec<Option<Range<usize>>> = Vec::new();
     let mut sink: Option<Vec<f64>> = None;
     let mut edges: Vec<(usize, usize)> = Vec::new();
+    let mut fields: Vec<&str> = Vec::new();
 
     let malformed = |line: usize, reason: &str| ParseInstanceError::Malformed {
         line,
         reason: reason.to_string(),
     };
 
-    for (lineno, line) in lines {
-        let mut fields = line.split_whitespace();
-        let keyword = fields.next().expect("non-empty line has a first field");
-        match keyword {
+    for (lineno, line, ascii) in lines {
+        split_fields(line, ascii, &mut fields);
+        let index = |count: usize, reason: &str| {
+            fields
+                .get(1)
+                .and_then(|f| f.parse().ok())
+                .filter(|&i: &usize| i < count)
+                .ok_or_else(|| malformed(lineno, reason))
+        };
+        match fields[0] {
             "name" => {
-                let rest = line["name".len()..].trim();
+                let rest = trim(&line["name".len()..], ascii);
                 if rest.is_empty() {
                     return Err(malformed(lineno, "name requires a value"));
                 }
@@ -159,56 +230,52 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
             }
             "n" => {
                 let v: usize = fields
-                    .next()
+                    .get(1)
                     .and_then(|f| f.parse().ok())
                     .ok_or_else(|| malformed(lineno, "n requires a positive integer"))?;
+                if !fits(v, text.len()) {
+                    return Err(malformed(lineno, "n is larger than the document can hold"));
+                }
                 n = Some(v);
                 services.resize(v, None);
                 rows.resize(v, None);
+                values.reserve(v * v);
             }
             "service" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `service`"))?;
-                let idx: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .filter(|&i| i < count)
-                    .ok_or_else(|| malformed(lineno, "service index out of range"))?;
+                let idx = index(count, "service index out of range")?;
                 let cost: f64 = fields
-                    .next()
+                    .get(2)
                     .and_then(|f| f.parse().ok())
                     .filter(|c: &f64| c.is_finite() && *c >= 0.0)
                     .ok_or_else(|| malformed(lineno, "bad service cost"))?;
                 let sel: f64 = fields
-                    .next()
+                    .get(3)
                     .and_then(|f| f.parse().ok())
                     .filter(|s: &f64| s.is_finite() && *s >= 0.0)
                     .ok_or_else(|| malformed(lineno, "bad service selectivity"))?;
-                let rest: Vec<&str> = fields.collect();
                 let mut service = Service::new(cost, sel);
-                if !rest.is_empty() {
-                    service = service.with_name(rest.join(" "));
+                if fields.len() > 4 {
+                    service = service.with_name(fields[4..].join(" "));
                 }
                 services[idx] = Some(service);
             }
             "row" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `row`"))?;
-                let idx: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .filter(|&i| i < count)
-                    .ok_or_else(|| malformed(lineno, "row index out of range"))?;
-                let values: Vec<f64> = fields
-                    .map(|f| f.parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| malformed(lineno, "bad transfer cost"))?;
-                if values.len() != count {
+                let idx = index(count, "row index out of range")?;
+                let start = values.len();
+                for f in &fields[2..] {
+                    values.push(f.parse().map_err(|_| malformed(lineno, "bad transfer cost"))?);
+                }
+                if values.len() - start != count {
                     return Err(malformed(lineno, "row width must equal n"));
                 }
-                rows[idx] = Some(values);
+                rows[idx] = Some(start..values.len());
             }
             "sink" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `sink`"))?;
-                let values: Vec<f64> = fields
+                let values: Vec<f64> = fields[1..]
+                    .iter()
                     .map(|f| f.parse::<f64>())
                     .collect::<Result<_, _>>()
                     .map_err(|_| malformed(lineno, "bad sink cost"))?;
@@ -218,15 +285,13 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                 sink = Some(values);
             }
             "edge" => {
-                let a: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "bad edge endpoint"))?;
-                let b: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "bad edge endpoint"))?;
-                edges.push((a, b));
+                let endpoint = |k: usize| {
+                    fields
+                        .get(k)
+                        .and_then(|f| f.parse::<usize>().ok())
+                        .ok_or_else(|| malformed(lineno, "bad edge endpoint"))
+                };
+                edges.push((endpoint(1)?, endpoint(2)?));
             }
             other => {
                 return Err(malformed(lineno, &format!("unknown keyword `{other}`")));
@@ -239,29 +304,35 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
         .into_iter()
         .enumerate()
         .map(|(i, s)| {
-            s.ok_or(ParseInstanceError::MissingSection("service")).map_err(|_| {
-                ParseInstanceError::Malformed {
-                    line: 0,
-                    reason: format!("service {i} was never declared"),
-                }
+            s.ok_or_else(|| ParseInstanceError::Malformed {
+                line: 0,
+                reason: format!("service {i} was never declared"),
             })
         })
         .collect::<Result<_, _>>()?;
-    let rows: Vec<Vec<f64>> = rows
+    let rows: Vec<Range<usize>> = rows
         .into_iter()
         .enumerate()
         .map(|(i, r)| {
-            r.ok_or(ParseInstanceError::Malformed {
+            r.ok_or_else(|| ParseInstanceError::Malformed {
                 line: 0,
                 reason: format!("row {i} was never declared"),
             })
         })
         .collect::<Result<_, _>>()?;
+    let in_place = values.len() == count * count
+        && rows.iter().enumerate().all(|(i, r)| *r == (i * count..(i + 1) * count));
+    let comm = if in_place {
+        CommMatrix::from_row_major(count, values)?
+    } else {
+        // Rows out of order, repeated, or declared under an earlier `n`.
+        CommMatrix::from_rows(rows.into_iter().map(|r| values[r].to_vec()).collect())?
+    };
 
     let mut builder = QueryInstance::builder()
         .name(name.unwrap_or_else(|| "query".into()))
         .services(services)
-        .comm(CommMatrix::from_rows(rows).map_err(ParseInstanceError::Invalid)?);
+        .comm(comm);
     if let Some(sink) = sink {
         builder = builder.sink(sink);
     }
@@ -378,6 +449,24 @@ mod tests {
             parse_instance(text),
             Err(ParseInstanceError::Malformed { reason, .. }) if reason.contains("width")
         ));
+    }
+
+    #[test]
+    fn an_n_the_document_cannot_hold_is_rejected_before_allocating() {
+        let refused = |line| ParseInstanceError::Malformed {
+            line,
+            reason: "n is larger than the document can hold".into(),
+        };
+        // 35 bytes declaring four billion services: refused at the `n`
+        // line instead of sizing tables (and a 16-exabyte matrix) to it.
+        assert_eq!(parse_instance("dsq-instance v1\nn 4000000000\nend\n"), Err(refused(2)));
+        let max = format!("dsq-instance v1\n# a comment\nn {}\n", usize::MAX);
+        assert_eq!(parse_instance(&max), Err(refused(3)));
+        // The smallest documents that hold their `n` still parse.
+        let one = "dsq-instance v1\nn 1\nservice 0 0 0\nrow 0 0";
+        assert_eq!(parse_instance(one).expect("parses").len(), 1);
+        let two = "dsq-instance v1\nn 2\nservice 0 0 0\nservice 1 0 0\nrow 0 0 0\nrow 1 0 0";
+        assert_eq!(parse_instance(two).expect("parses").len(), 2);
     }
 
     #[test]

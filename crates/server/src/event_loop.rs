@@ -46,6 +46,7 @@ use dsq_telemetry::{log::Level, log_event, Stopwatch};
 use reactor::{Events, Interest, Poll, Token};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::os::fd::RawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -87,14 +88,17 @@ struct Slot {
 }
 
 /// What the connection's framing layer is in the middle of reading.
+/// Documents are framed in place: their bytes stay in the read buffer
+/// until the terminator arrives, and the slice is handed on from there.
+#[derive(Clone, Copy)]
 enum ReadMode {
     /// Between requests: the next line is a verb or document header.
     Line,
-    /// Accumulating a `dsq-instance` document up to its `end` marker.
-    Document(Vec<u8>),
-    /// Accumulating an `import-partition` snapshot document up to its
+    /// Inside a `dsq-instance` document, up to its `end` marker.
+    Document,
+    /// Inside an `import-partition` snapshot document, up to its
     /// `end-snapshot` trailer.
-    Import(Vec<u8>),
+    Import,
 }
 
 struct Conn {
@@ -102,7 +106,15 @@ struct Conn {
     fd: RawFd,
     token: usize,
     read_buf: Vec<u8>,
-    parse_pos: usize,
+    /// First byte of the request being framed: the current line between
+    /// requests, the header line of a document, the first body line of
+    /// an import. Bytes before it are consumed.
+    frame_start: usize,
+    /// First byte of the next line to process.
+    line_start: usize,
+    /// `read_buf[line_start..scanned]` holds no newline, so the next
+    /// scan resumes at `scanned` instead of rescanning a partial line.
+    scanned: usize,
     mode: ReadMode,
     /// Next request sequence number; every request gets one, in arrival
     /// order, and responses are released strictly in that order.
@@ -141,6 +153,22 @@ fn render(response: &Response) -> Vec<u8> {
     line
 }
 
+/// Whether a framing line, trimmed, is `word`. An ASCII line is compared
+/// byte for byte; any other goes through the lossy UTF-8 trim the
+/// protocol has always used. The ASCII set is `char::is_whitespace`'s,
+/// vertical tab included, so both paths agree.
+fn line_is(line: &[u8], word: &str) -> bool {
+    let is_space = |b: &u8| *b == b' ' || (b'\t'..=b'\r').contains(b);
+    let start = line.iter().position(|b| !is_space(b)).unwrap_or(line.len());
+    let end = line.iter().rposition(|b| !is_space(b)).map_or(start, |i| i + 1);
+    let trimmed = &line[start..end];
+    if trimmed.is_ascii() {
+        trimmed == word.as_bytes()
+    } else {
+        String::from_utf8_lossy(line).trim() == word
+    }
+}
+
 impl Conn {
     fn new(stream: FaultyStream, token: usize) -> Conn {
         let fd = stream.raw_fd();
@@ -149,7 +177,9 @@ impl Conn {
             fd,
             token,
             read_buf: Vec::new(),
-            parse_pos: 0,
+            frame_start: 0,
+            line_start: 0,
+            scanned: 0,
             mode: ReadMode::Line,
             next_seq: 0,
             pending: VecDeque::new(),
@@ -206,29 +236,68 @@ impl Conn {
     /// Parses and processes every complete line buffered so far,
     /// stopping at the pipelining cap (admission backpressure).
     fn parse(&mut self, inner: &Inner, job_tx: &channel::Sender<Job>) {
+        // Taken out for the loop, so a document can be handed on as a
+        // slice of it while the connection is borrowed mutably.
+        let buf = std::mem::take(&mut self.read_buf);
         while !self.poisoned && !self.dead && !self.close_after_flush {
             if self.jobs_in_flight >= inner.max_pipeline {
                 break;
             }
-            let Some(offset) = self.read_buf[self.parse_pos..].iter().position(|&b| b == b'\n')
-            else {
+            let Some(offset) = buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+                self.scanned = buf.len();
+                self.cap_unterminated(buf.len(), inner);
                 break;
             };
-            let end = self.parse_pos + offset + 1;
-            let line: Vec<u8> = self.read_buf[self.parse_pos..end].to_vec();
-            self.parse_pos = end;
-            self.process_line(&line, inner, job_tx);
+            let start = self.line_start;
+            let end = self.scanned + offset + 1;
+            self.line_start = end;
+            self.scanned = end;
+            self.process_line(&buf, start..end, inner, job_tx);
         }
-        if self.parse_pos > 0 {
-            self.read_buf.drain(..self.parse_pos);
-            self.parse_pos = 0;
+        self.read_buf = buf;
+        if self.frame_start > 0 {
+            self.read_buf.drain(..self.frame_start);
+            self.line_start -= self.frame_start;
+            self.scanned -= self.frame_start;
+            self.frame_start = 0;
         }
     }
 
-    fn process_line(&mut self, line: &[u8], inner: &Inner, job_tx: &channel::Sender<Job>) {
-        match std::mem::replace(&mut self.mode, ReadMode::Line) {
+    /// Refuses a request whose unterminated tail (`read_buf[frame_start..
+    /// buffered]`, no newline yet) outgrew its cap: a client that never
+    /// ends its line cannot grow the buffer without bound.
+    fn cap_unterminated(&mut self, buffered: usize, inner: &Inner) {
+        let (what, cap) = match self.mode {
+            ReadMode::Import => ("partition", inner.max_import_bytes),
+            ReadMode::Line | ReadMode::Document => ("request", MAX_REQUEST_BYTES),
+        };
+        if buffered - self.frame_start > cap {
+            self.refuse(format!("{what} exceeds {cap} bytes"), inner);
+        }
+    }
+
+    /// Answers an oversized request with one error and closes: the
+    /// stream position after it is unknowable.
+    fn refuse(&mut self, message: String, inner: &Inner) {
+        inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        self.push_ready(&Response::Error { message });
+        self.poisoned = true;
+        self.close_after_flush = true;
+    }
+
+    /// Processes the complete line `buf[line]`.
+    fn process_line(
+        &mut self,
+        buf: &[u8],
+        line: Range<usize>,
+        inner: &Inner,
+        job_tx: &channel::Sender<Job>,
+    ) {
+        let Range { start, end } = line;
+        match self.mode {
             ReadMode::Line => {
-                let text = String::from_utf8_lossy(line);
+                self.frame_start = end;
+                let text = String::from_utf8_lossy(&buf[start..end]);
                 let verb = text.trim();
                 if inner.debug_panic_verb.as_deref() == Some(verb) {
                     // Test hook: a deterministic trigger for the
@@ -245,9 +314,11 @@ impl Conn {
                         self.push_ready(&Response::Draining);
                     }
                     v if v.starts_with("export-partition") => self.serve_export(v, inner),
-                    v if v == IMPORT_PARTITION_VERB => self.mode = ReadMode::Import(Vec::new()),
+                    v if v == IMPORT_PARTITION_VERB => self.mode = ReadMode::Import,
                     v if v.starts_with("dsq-instance") => {
-                        self.mode = ReadMode::Document(line.to_vec());
+                        // The document starts with its header line.
+                        self.mode = ReadMode::Document;
+                        self.frame_start = start;
                     }
                     other => {
                         inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -257,45 +328,28 @@ impl Conn {
                     }
                 }
             }
-            ReadMode::Document(mut doc) => {
-                if String::from_utf8_lossy(line).trim() == REQUEST_END {
-                    self.admit(&doc, inner, job_tx);
-                } else {
-                    doc.extend_from_slice(line);
-                    if doc.len() > MAX_REQUEST_BYTES {
-                        inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        self.push_ready(&Response::Error {
-                            message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                        });
-                        // The stream position after an oversized
-                        // document is unknowable: flush the error, close.
-                        self.poisoned = true;
-                        self.close_after_flush = true;
-                    } else {
-                        self.mode = ReadMode::Document(doc);
-                    }
+            ReadMode::Document => {
+                let document = self.frame_start..start;
+                if line_is(&buf[start..end], REQUEST_END) {
+                    self.mode = ReadMode::Line;
+                    self.frame_start = end;
+                    self.admit(&buf[document], inner, job_tx);
+                } else if end - document.start > MAX_REQUEST_BYTES {
+                    self.refuse(format!("request exceeds {MAX_REQUEST_BYTES} bytes"), inner);
                 }
             }
-            ReadMode::Import(mut doc) => {
-                // The cap is checked *before* extending, on every line —
-                // the trailer included — so a document can neither
-                // overshoot the cap by a line nor smuggle the overshoot
-                // in with `end-snapshot`.
-                if doc.len() + line.len() > inner.max_import_bytes {
-                    let cap = inner.max_import_bytes;
-                    inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    self.push_ready(&Response::Error {
-                        message: format!("partition exceeds {cap} bytes"),
-                    });
-                    self.poisoned = true;
-                    self.close_after_flush = true;
-                    return;
-                }
-                doc.extend_from_slice(line);
-                if String::from_utf8_lossy(line).trim() == "end-snapshot" {
-                    self.finish_import(&doc, inner);
-                } else {
-                    self.mode = ReadMode::Import(doc);
+            ReadMode::Import => {
+                // The cap is checked on every line, the trailer included,
+                // so a document can neither overshoot the cap by a line
+                // nor smuggle the overshoot in with `end-snapshot`.
+                let document = self.frame_start..end;
+                let cap = inner.max_import_bytes;
+                if document.len() > cap {
+                    self.refuse(format!("partition exceeds {cap} bytes"), inner);
+                } else if line_is(&buf[start..end], "end-snapshot") {
+                    self.mode = ReadMode::Line;
+                    self.frame_start = end;
+                    self.finish_import(&buf[document], inner);
                 }
             }
         }

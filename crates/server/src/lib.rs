@@ -86,6 +86,6 @@ pub use client::{hold_connections, Client, HoldReport, PipelineRequest, RetryPol
 pub use loadgen::{ClassReport, LoadgenConfig, LoadgenReport, RequestClass};
 pub use lock::{lock_path, SnapshotLock};
 pub use net::{FaultProfile, ListenAddr};
-pub use protocol::{ExportRequest, ProtocolError, Response, StatsLine};
+pub use protocol::{ExportRequest, ProtocolError, Response, StatsLine, MAX_EXPORT_VNODES};
 pub use remote::RemotePlanner;
 pub use server::{load_aware_retry_ms, Server, ServerConfig, ServerStats, ShutdownHandle};

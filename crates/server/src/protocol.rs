@@ -94,6 +94,12 @@ pub const METRICS_END: &str = "end-metrics";
 pub const STATS_TOKENS: [&str; 8] =
     ["requests", "hits", "probe2", "warm", "cold", "busy", "hit-rate", "entries"];
 
+/// Largest `vnodes` an `export-partition` line may ask for. The server
+/// builds a ring of `vnodes` points per backend for each export, so the
+/// count must be bounded before it sizes an allocation; the default
+/// layout uses [`DEFAULT_VNODES`](dsq_service::DEFAULT_VNODES) (64).
+pub const MAX_EXPORT_VNODES: usize = 1024;
+
 /// A parsed `export-partition` request line: the new fleet layout the
 /// receiving server should keep slot [`keep`](Self::keep) of, handing
 /// everything else over. Passive struct; fields are public.
@@ -126,9 +132,9 @@ impl ExportRequest {
     /// # Errors
     ///
     /// [`ProtocolError`] carrying the line when it does not match the
-    /// grammar, names an empty backend, or keeps a slot beyond the
-    /// backend count (`keep == backends.len()`, the drain form, is
-    /// valid).
+    /// grammar, asks for zero or more than [`MAX_EXPORT_VNODES`] virtual
+    /// nodes, names an empty backend, or keeps a slot beyond the backend
+    /// count (`keep == backends.len()`, the drain form, is valid).
     pub fn parse(line: &str) -> Result<ExportRequest, ProtocolError> {
         let line = line.trim_end();
         let err = || ProtocolError(line.to_string());
@@ -147,7 +153,7 @@ impl ExportRequest {
             _ => return Err(err()),
         };
         if fields.next().is_some()
-            || vnodes == 0
+            || !(1..=MAX_EXPORT_VNODES).contains(&vnodes)
             || keep > backends.len()
             || backends.iter().any(String::is_empty)
         {
@@ -603,6 +609,8 @@ mod tests {
         // A single-backend layout is legal (it exports nothing).
         let solo = ExportRequest { vnodes: 1, keep: 0, backends: vec!["a".into()] };
         assert_eq!(ExportRequest::parse(&solo.to_line()).expect("parses"), solo);
+        let widest = ExportRequest { vnodes: MAX_EXPORT_VNODES, ..solo };
+        assert_eq!(ExportRequest::parse(&widest.to_line()).expect("parses"), widest);
         // `keep == backends.len()` is the drain form: a leaving backend
         // keeps no slot and hands everything over.
         let drain = ExportRequest { vnodes: 8, keep: 2, backends: vec!["a".into(), "b".into()] };
@@ -613,6 +621,8 @@ mod tests {
             "export-partition vnodes 64 keep 0",
             "export-partition vnodes 64 keep 0 backends",
             "export-partition vnodes 0 keep 0 backends a,b", // zero vnodes
+            "export-partition vnodes 1025 keep 0 backends a,b", // above MAX_EXPORT_VNODES
+            "export-partition vnodes 4000000000 keep 0 backends a", // would reserve 64 GB
             "export-partition vnodes 64 keep 3 backends a,b", // keep beyond the drain slot
             "export-partition vnodes 64 keep 0 backends a,,b", // empty backend
             "export-partition vnodes x keep 0 backends a,b",

@@ -376,3 +376,77 @@ fn import_cap_applies_before_every_line_including_the_trailer() {
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 2);
 }
+
+/// An export asking for four billion virtual nodes per backend used to
+/// make the daemon reserve 64 GB for the ring and abort. It is refused as
+/// a malformed line, and the connection keeps serving.
+#[test]
+fn an_oversized_vnode_count_is_refused() {
+    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let mut socket = raw_connect(server.listen_addr());
+    socket
+        .write_all(b"export-partition vnodes 4000000000 keep 0 backends a\nping\n")
+        .expect("write");
+    let mut reader = BufReader::new(socket);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read error");
+    assert_eq!(
+        line,
+        "error malformed protocol line: `export-partition vnodes 4000000000 keep 0 backends a`\n"
+    );
+    line.clear();
+    reader.read_line(&mut line).expect("read pong");
+    assert_eq!(line, "ok pong\n");
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, 1);
+}
+
+/// A client that never ends its line used to grow the connection's read
+/// buffer without bound, each pump rescanning it from the start. Past the
+/// request cap (the import cap inside an import) the reactor answers one
+/// error and closes, in every framing mode.
+#[test]
+fn unterminated_lines_are_capped_in_every_framing_mode() {
+    let config = ServerConfig { max_import_bytes: 80, ..quick_config() };
+    let server = Server::start(&tcp(), &config).expect("start");
+    let document = "dsq-instance v1\nn 2\n";
+    // (mode, what precedes the endless line, bytes of it the cap counts,
+    // the cap, the one response expected)
+    let cases = [
+        ("between requests", "", 0, 1 << 20, "error request exceeds 1048576 bytes\n"),
+        (
+            "inside a document",
+            document,
+            document.len(),
+            1 << 20,
+            "error request exceeds 1048576 bytes\n",
+        ),
+        ("inside an import", "import-partition\n", 0, 80, "error partition exceeds 80 bytes\n"),
+    ];
+    for (mode, prefix, counted, cap, expected) in cases {
+        let mut socket = raw_connect(server.listen_addr());
+        socket.write_all(prefix.as_bytes()).expect("write prefix");
+        // One byte past the cap, in pieces as a trickling client would
+        // send it: each pump scans only what arrived since the last. The
+        // server reads every byte before it answers, so it closes with
+        // nothing unread.
+        let mut left = cap + 1 - counted;
+        while left > 0 {
+            let piece = left.min(64 * 1024);
+            socket.write_all(&vec![b'x'; piece]).expect("write piece");
+            left -= piece;
+        }
+        let mut reader = BufReader::new(socket);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read error");
+        assert_eq!(line, expected, "{mode}");
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).expect("closed"),
+            0,
+            "{mode}: closed after the error"
+        );
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, 3);
+}

@@ -90,6 +90,25 @@ fn protocol_errors_keep_the_connection_usable() {
     assert_eq!(stats.protocol_errors, 1);
 }
 
+/// A 35-byte document declaring four billion services used to make the
+/// parser size its tables to `n` and abort the daemon on a 160 GB
+/// allocation. It is now a parse error, and the connection keeps serving.
+#[test]
+fn an_oversized_service_count_is_an_error_not_an_abort() {
+    let server = Server::start(&tcp(), &quick_config()).expect("start");
+    let mut client = Client::connect(server.listen_addr()).expect("connect");
+    match client.optimize_text("dsq-instance v1\nn 4000000000\n").expect("round trip") {
+        Response::Error { message } => assert_eq!(
+            message,
+            "cannot parse instance: line 2: n is larger than the document can hold"
+        ),
+        other => panic!("expected an error, got {other:?}"),
+    }
+    assert_eq!(client.ping().expect("still serving"), Response::Pong);
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, 1);
+}
+
 #[test]
 fn stats_verb_reports_the_counters() {
     let server = Server::start(&tcp(), &quick_config()).expect("start");

@@ -95,6 +95,44 @@ grep -q "drained cleanly" "$server_log"
 [ -f "$snapshot" ] || { echo "server_smoke: no final snapshot" >&2; exit 1; }
 [ -e "$sock" ] && { echo "server_smoke: socket not unlinked" >&2; exit 1; }
 
+# ---- oversized-request smoke -----------------------------------------
+# Two short requests that used to abort the daemon on a huge allocation:
+# a document declaring four billion services (35 bytes) and an export
+# asking for four billion virtual nodes per backend. Each must earn one
+# `error` line on a connection that then still answers `ping`. Sent raw
+# over TCP (bash's /dev/tcp): the typed client cannot send either.
+"$bin" serve --tcp 127.0.0.1:0 --workers 1 < /dev/null > "$workdir/oversized.log" &
+oversized_pid=$!
+daemon_pids+=("$oversized_pid")
+port=""
+for _ in $(seq 1 300); do
+    port="$(sed -n 's/^listening on tcp:\/\/127\.0\.0\.1:\([0-9][0-9]*\) .*/\1/p' "$workdir/oversized.log")"
+    [ -n "$port" ] && break
+    sleep 0.1
+done
+[ -n "$port" ] || { echo "server_smoke: tcp daemon never listened" >&2; cat "$workdir/oversized.log" >&2; exit 1; }
+exec 4<>"/dev/tcp/127.0.0.1/$port"
+printf 'dsq-instance v1\nn 4000000000\nend\nexport-partition vnodes 4000000000 keep 0 backends a\nping\n' >&4
+replies=()
+for _ in 1 2 3; do
+    IFS= read -r -t 10 reply <&4 || { echo "server_smoke: oversized requests went unanswered" >&2; exit 1; }
+    replies+=("$reply")
+done
+exec 4<&-
+case "${replies[0]}" in
+    "error cannot parse instance: line 2: n is larger than the document can hold") ;;
+    *) echo "server_smoke: oversized n answered '${replies[0]}'" >&2; exit 1 ;;
+esac
+case "${replies[1]}" in
+    "error malformed protocol line: \`export-partition vnodes 4000000000"*) ;;
+    *) echo "server_smoke: oversized vnodes answered '${replies[1]}'" >&2; exit 1 ;;
+esac
+[ "${replies[2]}" = "ok pong" ] || { echo "server_smoke: no pong after oversized requests" >&2; exit 1; }
+"$bin" client --tcp "127.0.0.1:$port" ping | grep -qx "pong"
+"$bin" client --tcp "127.0.0.1:$port" shutdown | grep -qx "server draining"
+wait "$oversized_pid"
+grep -q "drained cleanly" "$workdir/oversized.log"
+
 # ---- 2-backend fleet smoke -------------------------------------------
 # Two daemons (1 worker each: single-core container), requests sharded
 # across them by fingerprint via `client --fleet`, repeats hitting the
@@ -264,4 +302,4 @@ if grep -q " tier heur" "$workdir/tiered-warm.out"; then
     exit 1
 fi
 
-echo "server_smoke: OK (clean drain, pipelined batch, 1k connections held and drained live, snapshot persisted, fleet sharding + failover, warm rebalance, chaos drain, 2k-request open-loop burst, metrics verb, tiered refinement)" >&2
+echo "server_smoke: OK (clean drain, pipelined batch, 1k connections held and drained live, snapshot persisted, oversized requests refused, fleet sharding + failover, warm rebalance, chaos drain, 2k-request open-loop burst, metrics verb, tiered refinement)" >&2
