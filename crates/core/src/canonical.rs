@@ -223,15 +223,12 @@ impl CanonicalKey {
                     out.sort_unstable();
                     incoming.sort_unstable();
                 }
-                // `tied` is in index order, so position breaks the
-                // remaining ties exactly as the index does.
-                let mut order: Vec<usize> = (0..len).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    let set = |k: usize| &multisets[k * width..(k + 1) * width];
-                    set(a).cmp(set(b)).then(a.cmp(&b))
-                });
-                let sorted: Vec<u32> = order.iter().map(|&k| tied[k]).collect();
-                tied.copy_from_slice(&sorted);
+                let mut keyed: Vec<(&[i64], u32)> =
+                    multisets.chunks_exact(width).zip(tied.iter().copied()).collect();
+                keyed.sort_unstable();
+                for (slot, (_, o)) in tied.iter_mut().zip(keyed) {
+                    *slot = o;
+                }
             }
             start += len;
         }

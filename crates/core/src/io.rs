@@ -177,7 +177,9 @@ fn fits(n: usize, len: usize) -> bool {
 /// # Errors
 ///
 /// Returns [`ParseInstanceError`] describing the offending line or the
-/// model-validation failure.
+/// model-validation failure. An `n` larger than the document can hold
+/// (one `service` and one `row` line per service) is refused at its line,
+/// before anything is sized to it.
 pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
     // `(line number, content without comment and surrounding
     // whitespace, whether that content is ASCII)` of non-empty lines.
