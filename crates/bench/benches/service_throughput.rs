@@ -20,13 +20,13 @@ fn cache_config() -> CacheConfig {
     CacheConfig { quantization: Quantization::new(0.2), ..CacheConfig::default() }
 }
 
-fn stream(family: Family, requests: usize) -> Vec<dsq_core::QueryInstance> {
-    DriftStream::new(DriftConfig::new(family, N, 23, requests)).collect()
+fn stream(family: Family, n: usize, requests: usize) -> Vec<dsq_core::QueryInstance> {
+    DriftStream::new(DriftConfig::new(family, n, 23, requests)).collect()
 }
 
 fn bench_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_throughput");
-    let requests = stream(Family::BtspHard, 48);
+    let requests = stream(Family::BtspHard, N, 48);
     let config = BnbConfig::paper();
 
     // The daemon's front end for every request: the text of an instance
@@ -38,8 +38,9 @@ fn bench_serving(c: &mut Criterion) {
         });
     }
     for n in [6, N, 32] {
-        let first = DriftStream::new(DriftConfig::new(Family::BtspHard, n, 23, 1)).next();
-        let inst = if n == N { requests[0].clone() } else { first.expect("one request") };
+        // At n = 12 this is `requests[0]`: a stream's first request does
+        // not depend on its length.
+        let inst = stream(Family::BtspHard, n, 1).remove(0);
         group.bench_with_input(BenchmarkId::new("fingerprint", n), &inst, |b, inst| {
             let quantization = Quantization::new(0.2);
             b.iter(|| black_box(CanonicalKey::new(black_box(inst), &quantization)))

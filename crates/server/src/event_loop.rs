@@ -90,7 +90,6 @@ struct Slot {
 /// What the connection's framing layer is in the middle of reading.
 /// Documents are framed in place: their bytes stay in the read buffer
 /// until the terminator arrives, and the slice is handed on from there.
-#[derive(Clone, Copy)]
 enum ReadMode {
     /// Between requests: the next line is a verb or document header.
     Line,
