@@ -76,9 +76,17 @@ impl CommMatrix {
     /// square matrix, and [`ModelError::InvalidValue`] if any entry is NaN,
     /// infinite, or negative.
     pub fn from_rows(rows: Vec<Vec<f64>>) -> Result<Self, ModelError> {
-        let n = rows.len();
+        CommMatrix::from_row_slices(rows.len(), rows.iter().map(Vec::as_slice))
+    }
+
+    /// [`CommMatrix::from_rows`] over the `n` borrowed rows `rows`, each
+    /// copied once into the matrix.
+    pub(crate) fn from_row_slices<'a>(
+        n: usize,
+        rows: impl IntoIterator<Item = &'a [f64]>,
+    ) -> Result<Self, ModelError> {
         let mut data = Vec::with_capacity(n * n);
-        for row in &rows {
+        for row in rows {
             if row.len() != n {
                 return Err(ModelError::DimensionMismatch {
                     what: "communication matrix row",
@@ -86,22 +94,10 @@ impl CommMatrix {
                     found: row.len(),
                 });
             }
-            for &v in row {
-                if !v.is_finite() || v < 0.0 {
-                    return Err(ModelError::InvalidValue { what: "transfer cost", value: v });
-                }
-                data.push(v);
+            if let Some(&v) = row.iter().find(|v| !v.is_finite() || **v < 0.0) {
+                return Err(ModelError::InvalidValue { what: "transfer cost", value: v });
             }
-        }
-        Ok(CommMatrix { n, data })
-    }
-
-    /// Takes ownership of `n × n` row-major entries, with the checks and
-    /// errors of [`CommMatrix::from_rows`] on rows of width `n`.
-    pub(crate) fn from_row_major(n: usize, data: Vec<f64>) -> Result<Self, ModelError> {
-        assert_eq!(data.len(), n * n, "row-major data holds n × n entries");
-        if let Some(&v) = data.iter().find(|v| !v.is_finite() || **v < 0.0) {
-            return Err(ModelError::InvalidValue { what: "transfer cost", value: v });
+            data.extend_from_slice(row);
         }
         Ok(CommMatrix { n, data })
     }

@@ -160,26 +160,12 @@ fn split_fields<'a>(line: &'a str, ascii: bool, out: &mut Vec<&'a str>) {
     }
 }
 
-/// Whether a document of `len` bytes can hold `n` services: each needs a
-/// `service` line (at least `service 0 0 0`, 13 bytes) and a `row` line
-/// (at least `row 0` and `n` values, 5 + 2n bytes). Checked before any
-/// table is sized to `n`, so a short document cannot make the parser
-/// allocate for a huge one.
-fn fits(n: usize, len: usize) -> bool {
-    n.checked_mul(2)
-        .and_then(|w| w.checked_add(18))
-        .and_then(|w| w.checked_mul(n))
-        .is_some_and(|need| need <= len)
-}
-
 /// Parses the text format (see module docs).
 ///
 /// # Errors
 ///
 /// Returns [`ParseInstanceError`] describing the offending line or the
-/// model-validation failure. An `n` larger than the document can hold
-/// (one `service` and one `row` line per service) is refused at its line,
-/// before anything is sized to it.
+/// model-validation failure.
 pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
     // `(line number, content without comment and surrounding
     // whitespace, whether that content is ASCII)` of non-empty lines.
@@ -197,11 +183,17 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
 
     let mut name: Option<String> = None;
     let mut n: Option<usize> = None;
+    // Each entry of `services` and `rows` is set by a line of its own,
+    // at least 7 bytes long (`row 0 0`; a `service` line is longer), so
+    // the document sets fewer than
+    // `cap` of them. The tables are sized to `min(n, cap)`: an `n` the
+    // document cannot fill costs no more memory than the document. An
+    // index at or past `cap` is dropped; it never matters, since some
+    // index below `cap` is then undeclared and reported first.
+    let cap = text.len() / 7 + 1;
     let mut services: Vec<Option<Service>> = Vec::new();
     // Every `row` line's values, appended in line order; `rows[i]` is
-    // where the latest declaration of row `i` sits. Rows declared once
-    // each, in order, at the final width are exactly the row-major
-    // matrix, which then takes this buffer without a copy.
+    // where the latest declaration of row `i` sits.
     let mut values: Vec<f64> = Vec::new();
     let mut rows: Vec<Option<Range<usize>>> = Vec::new();
     let mut sink: Option<Vec<f64>> = None;
@@ -235,13 +227,9 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                     .get(1)
                     .and_then(|f| f.parse().ok())
                     .ok_or_else(|| malformed(lineno, "n requires a positive integer"))?;
-                if !fits(v, text.len()) {
-                    return Err(malformed(lineno, "n is larger than the document can hold"));
-                }
                 n = Some(v);
-                services.resize(v, None);
-                rows.resize(v, None);
-                values.reserve(v * v);
+                services.resize(v.min(cap), None);
+                rows.resize(v.min(cap), None);
             }
             "service" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `service`"))?;
@@ -260,7 +248,9 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                 if fields.len() > 4 {
                     service = service.with_name(fields[4..].join(" "));
                 }
-                services[idx] = Some(service);
+                if let Some(slot) = services.get_mut(idx) {
+                    *slot = Some(service);
+                }
             }
             "row" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `row`"))?;
@@ -272,7 +262,9 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
                 if values.len() - start != count {
                     return Err(malformed(lineno, "row width must equal n"));
                 }
-                rows[idx] = Some(start..values.len());
+                if let Some(slot) = rows.get_mut(idx) {
+                    *slot = Some(start..values.len());
+                }
             }
             "sink" => {
                 let count = n.ok_or_else(|| malformed(lineno, "`n` must come before `sink`"))?;
@@ -302,34 +294,18 @@ pub fn parse_instance(text: &str) -> Result<QueryInstance, ParseInstanceError> {
     }
 
     let count = n.ok_or(ParseInstanceError::MissingSection("n"))?;
-    let services: Vec<Service> = services
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.ok_or_else(|| ParseInstanceError::Malformed {
-                line: 0,
-                reason: format!("service {i} was never declared"),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let rows: Vec<Range<usize>> = rows
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.ok_or_else(|| ParseInstanceError::Malformed {
-                line: 0,
-                reason: format!("row {i} was never declared"),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let in_place = values.len() == count * count
-        && rows.iter().enumerate().all(|(i, r)| *r == (i * count..(i + 1) * count));
-    let comm = if in_place {
-        CommMatrix::from_row_major(count, values)?
-    } else {
-        // Rows out of order, repeated, or declared under an earlier `n`.
-        CommMatrix::from_rows(rows.into_iter().map(|r| values[r].to_vec()).collect())?
+    let undeclared = |what: &str, i: usize| ParseInstanceError::Malformed {
+        line: 0,
+        reason: format!("{what} {i} was never declared"),
     };
+    if let Some(i) = (0..count).find(|&i| !matches!(services.get(i), Some(Some(_)))) {
+        return Err(undeclared("service", i));
+    }
+    if let Some(i) = (0..count).find(|&i| !matches!(rows.get(i), Some(Some(_)))) {
+        return Err(undeclared("row", i));
+    }
+    let services: Vec<Service> = services.into_iter().flatten().collect();
+    let comm = CommMatrix::from_row_slices(count, rows.into_iter().flatten().map(|r| &values[r]))?;
 
     let mut builder = QueryInstance::builder()
         .name(name.unwrap_or_else(|| "query".into()))
@@ -454,21 +430,29 @@ mod tests {
     }
 
     #[test]
-    fn an_n_the_document_cannot_hold_is_rejected_before_allocating() {
-        let refused = |line| ParseInstanceError::Malformed {
-            line,
-            reason: "n is larger than the document can hold".into(),
+    fn an_n_the_document_cannot_fill_is_not_allocated_for() {
+        // A few bytes declaring four billion services: the tables are sized
+        // to what the document can hold, not to `n` (which once meant a
+        // 16-exabyte matrix), and the result is the usual first gap.
+        let never = |what: &str| ParseInstanceError::Malformed {
+            line: 0,
+            reason: format!("{what} was never declared"),
         };
-        // 35 bytes declaring four billion services: refused at the `n`
-        // line instead of sizing tables (and a 16-exabyte matrix) to it.
-        assert_eq!(parse_instance("dsq-instance v1\nn 4000000000\nend\n"), Err(refused(2)));
-        let max = format!("dsq-instance v1\n# a comment\nn {}\n", usize::MAX);
-        assert_eq!(parse_instance(&max), Err(refused(3)));
-        // The smallest documents that hold their `n` still parse.
-        let one = "dsq-instance v1\nn 1\nservice 0 0 0\nrow 0 0";
-        assert_eq!(parse_instance(one).expect("parses").len(), 1);
-        let two = "dsq-instance v1\nn 2\nservice 0 0 0\nservice 1 0 0\nrow 0 0 0\nrow 1 0 0";
-        assert_eq!(parse_instance(two).expect("parses").len(), 2);
+        assert_eq!(parse_instance("dsq-instance v1\nn 4000000000\n# c\n"), Err(never("service 0")));
+        let max = format!("dsq-instance v1\nn {}\nservice 0 1 1\n", usize::MAX);
+        assert_eq!(parse_instance(&max), Err(never("service 1")));
+        // An index past what the document can hold is range-checked
+        // against `n` as before, and still leaves a lower gap.
+        let far = "dsq-instance v1\nn 4000000000\nservice 3999999999 1 1\nrow 3999999999 0\n";
+        assert_eq!(
+            parse_instance(far),
+            Err(ParseInstanceError::Malformed { line: 4, reason: "row width must equal n".into() })
+        );
+        let far = "dsq-instance v1\nn 4000000000\nservice 3999999999 1 1\n";
+        assert_eq!(parse_instance(far), Err(never("service 0")));
+        // A later, smaller `n` replaces an oversized one.
+        let redeclared = "dsq-instance v1\nn 100\nn 1\nservice 0 0 0\nrow 0 0\n";
+        assert_eq!(parse_instance(redeclared).expect("parses").len(), 1);
     }
 
     #[test]
@@ -511,6 +495,14 @@ mod tests {
          r#"Err(Invalid(DimensionMismatch { what: "communication matrix row", expected: 3, found: 2 }))"#),
         ("dsq-instance v1\nn 2\nservice 0 1 0.5\nrow 0 0 1\nn 3\nn 2\nservice 1 2 0.25\nrow 1 1 0\n",
          r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }, Service { cost: 2.0, selectivity: 0.25, name: None }], comm: CommMatrix { n: 2, data: [0.0, 1.0, 1.0, 0.0] }, sink: [0.0, 0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 100\nn 1\nservice 0 0 0\nrow 0 0\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 0.0, selectivity: 0.0, name: None }], comm: CommMatrix { n: 1, data: [0.0] }, sink: [0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 1\nservice 0 1 0.5\nn 100000\nrow 0 0\n",
+         r#"Err(Malformed { line: 5, reason: "row width must equal n" })"#),
+        ("dsq-instance v1\nn 1\nservice 0 1 0.5\nrow 0 0\nn 100000\nn 1\n",
+         r#"Ok(QueryInstance { name: "query", services: [Service { cost: 1.0, selectivity: 0.5, name: None }], comm: CommMatrix { n: 1, data: [0.0] }, sink: [0.0], precedence: None })"#),
+        ("dsq-instance v1\nn 100000\nservice 99999 1 0.5\nservice 3 1 0.5\nn 4\nservice 0 1 0.5\n",
+         r#"Err(Malformed { line: 0, reason: "service 1 was never declared" })"#),
         ("dsq-instance v1\nn 3\nservice 0 1 0.5\nservice 1 2 0.25\nservice 2 2 0.25\nrow 0 0 -1 1\nrow 1 1 0 1\nrow 2 1 1 0\nn 2\nrow 1 1 0\n",
          r#"Err(Invalid(DimensionMismatch { what: "communication matrix row", expected: 2, found: 3 }))"#),
         ("dsq-instance v1\nn 2\nservice 0 1 0.5\nservice 1 2 0.25\nrow 0 0 x\nrow 1 1 0\n",

@@ -152,22 +152,6 @@ fn render(response: &Response) -> Vec<u8> {
     line
 }
 
-/// Whether a framing line, trimmed, is `word`. An ASCII line is compared
-/// byte for byte; any other goes through the lossy UTF-8 trim the
-/// protocol has always used. The ASCII set is `char::is_whitespace`'s,
-/// vertical tab included, so both paths agree.
-fn line_is(line: &[u8], word: &str) -> bool {
-    let is_space = |b: &u8| *b == b' ' || (b'\t'..=b'\r').contains(b);
-    let start = line.iter().position(|b| !is_space(b)).unwrap_or(line.len());
-    let end = line.iter().rposition(|b| !is_space(b)).map_or(start, |i| i + 1);
-    let trimmed = &line[start..end];
-    if trimmed.is_ascii() {
-        trimmed == word.as_bytes()
-    } else {
-        String::from_utf8_lossy(line).trim() == word
-    }
-}
-
 impl Conn {
     fn new(stream: FaultyStream, token: usize) -> Conn {
         let fd = stream.raw_fd();
@@ -329,7 +313,7 @@ impl Conn {
             }
             ReadMode::Document => {
                 let document = self.frame_start..start;
-                if line_is(&buf[start..end], REQUEST_END) {
+                if String::from_utf8_lossy(&buf[start..end]).trim() == REQUEST_END {
                     self.mode = ReadMode::Line;
                     self.frame_start = end;
                     self.admit(&buf[document], inner, job_tx);
@@ -345,7 +329,7 @@ impl Conn {
                 let cap = inner.max_import_bytes;
                 if document.len() > cap {
                     self.refuse(format!("partition exceeds {cap} bytes"), inner);
-                } else if line_is(&buf[start..end], "end-snapshot") {
+                } else if String::from_utf8_lossy(&buf[start..end]).trim() == "end-snapshot" {
                     self.mode = ReadMode::Line;
                     self.frame_start = end;
                     self.finish_import(&buf[document], inner);

@@ -120,7 +120,7 @@ for _ in 1 2 3; do
 done
 exec 4<&-
 case "${replies[0]}" in
-    "error cannot parse instance: line 2: n is larger than the document can hold") ;;
+    "error cannot parse instance: line 0: service 0 was never declared") ;;
     *) echo "server_smoke: oversized n answered '${replies[0]}'" >&2; exit 1 ;;
 esac
 case "${replies[1]}" in
