@@ -193,9 +193,10 @@ impl CanonicalKey {
         // three quantized scalar parameters, then the sorted multisets of
         // outgoing and incoming transfer buckets. Ties (identical keys)
         // fall back to original index order — canonicalization is
-        // best-effort for relabels. The scalars decide most comparisons,
-        // so services are sorted by them first and the multisets are
-        // built only for services whose scalars tie.
+        // best-effort for relabels. Services are sorted by the scalars
+        // first, and the multisets are built only for services whose
+        // scalars tie: rare on clustered instances, every service on
+        // btsp-hard ones, whose scalars are all equal.
         let scalar = |o: u32| -> [i64; 3] {
             let i = 3 * o as usize;
             [scalars[i], scalars[i + 1], scalars[i + 2]]
