@@ -25,10 +25,10 @@ fn bench_ablation(c: &mut Criterion) {
             });
         }
     }
-    // Larger hard instances only for the configurations whose per-node
-    // work is dominated by the tight ε̄ evaluation — the hot path the
-    // incremental bound engine targets. The weak ablations would take
-    // minutes here without telling us anything new.
+    // Larger hard instances only for the configurations that test the
+    // tight Lemma-2 closure at every node — the hot path the incremental
+    // bound engine and the early-exit closure predicate target. The weak
+    // ablations would take minutes here without telling us anything new.
     for n in [14usize, 16] {
         let inst = bench_instance(Family::BtspHard, n);
         for (name, cfg) in &configs {

@@ -42,10 +42,11 @@ pub struct BnbConfig {
     /// With the incremental bound engine
     /// ([`SearchContext`](crate::bnb::SearchContext)) the tight mode's
     /// per-row maxima come from pre-sorted transfer rows — `O(1)` per row
-    /// while the row head is unplaced, `O(depth)` worst case — so tight
-    /// nodes are near-linear in `|R|` in practice instead of
-    /// unconditionally quadratic; the switch remains for the E3 ablation
-    /// and for bound-quality comparisons.
+    /// while the row's most expensive entry is unplaced, `O(depth)` worst
+    /// case — and the closure test stops at the first row whose term
+    /// exceeds `ε`, usually the first. A tight node therefore costs about
+    /// as much as a loose one; the switch remains for the E3 ablation and
+    /// for bound-quality comparisons.
     pub tight_epsilon_bar: bool,
     /// **Extension beyond the paper**: prune nodes whose optimistic
     /// completion bound (best prefix × best outgoing transfer per remaining

@@ -1,22 +1,31 @@
 //! Cache-friendly shared search data and the incremental bound engine.
 //!
-//! The branch-and-bound hot path evaluates `ε̄` and the optimistic
-//! completion bound at every node. Doing that against [`QueryInstance`]
-//! directly costs an accessor indirection per parameter, an `O(n)` product
-//! rebuild per bound, and — in tight mode — an `O(|R|²)` max scan per node.
-//! This module replaces all of that with two pieces:
+//! The branch-and-bound hot path tests Lemma 2 (`ε ≥ ε̄`) and, optionally,
+//! the optimistic completion bound at every node. Doing that against
+//! [`QueryInstance`] directly costs an accessor indirection per
+//! parameter, an `O(n)` product rebuild per bound, and — in tight mode —
+//! an `O(|R|²)` max scan per node. This module replaces all of that with
+//! three pieces:
 //!
 //! * [`SearchContext`] — an immutable, per-instance snapshot built **once**
 //!   per `optimize` call (and shared by every worker of
 //!   [`optimize_parallel`](crate::optimize_parallel)): flat structure-of-
 //!   arrays copies of cost/selectivity/sink, the row-major transfer matrix,
-//!   the loose-mode row maxima, and per-row successor lists pre-sorted both
-//!   ascending (candidate expansion, lower-bound minima) and descending
-//!   (tight `ε̄` row maxima). "Max/min transfer into the remaining set"
-//!   becomes a first-remaining-entry scan of a sorted row — `O(1)` while
-//!   the head of the row is unplaced, `O(depth)` worst case when the
-//!   search has placed exactly the row's cheapest/most-expensive entries
-//!   — instead of an unconditional `O(n)` loop.
+//!   the loose-mode row maxima, and per-row successor lists pre-sorted
+//!   ascending by transfer. "Max/min transfer into the remaining set"
+//!   becomes a first-remaining-entry scan of a sorted row (from its end
+//!   for the max) — `O(1)` while that end of the row is unplaced,
+//!   `O(depth)` worst case when the search has placed exactly the row's
+//!   cheapest/most-expensive entries — instead of an unconditional `O(n)`
+//!   loop.
+//! * Term walkers and predicates. Each bound is the `max` of `|R| + 1`
+//!   terms produced lazily by one private walker, the single source of its
+//!   formula. [`SearchContext::epsilon_bar`] and
+//!   [`SearchContext::completion_lower_bound`] fold the whole walk;
+//!   the search instead calls [`SearchContext::epsilon_bar_at_most`] and
+//!   [`SearchContext::completion_lower_bound_reaches`], which stop at the
+//!   first deciding term and agree with the full comparison exactly, ties
+//!   and NaN terms included.
 //! * [`IncrementalBounds`] — the mutable per-worker state: the placed /
 //!   remaining sets plus stacks of the inflation (`Π σ>1` over remaining)
 //!   and shrink (`Π σ<1` over remaining) selectivity products, updated in
@@ -30,7 +39,8 @@
 //! The closed-form bound definitions these accelerate are retained in the
 //! `bounds` module as `#[cfg(test)]` reference oracles; the property tests
 //! at the bottom of this file pin every incremental quantity to them within
-//! `1e-12` relative error across random push/pop/rewind sequences.
+//! `1e-12` relative error across random push/pop/rewind sequences, and pin
+//! each predicate to the comparison against its full value.
 
 use crate::bitset::BitSet;
 use crate::instance::QueryInstance;
@@ -54,8 +64,6 @@ pub struct SearchContext {
     row_max: Box<[f64]>,
     /// `n` rows of `n-1` successor indices, ascending by `t_{u,·}`.
     succ_asc: Box<[u32]>,
-    /// `n` rows of `n-1` successor indices, descending by `t_{u,·}`.
-    succ_desc: Box<[u32]>,
     /// `Π σ_j` over **all** services with `σ_j > 1`.
     total_inflation: f64,
     /// `Π σ_j` over all services with `0 < σ_j < 1` (zeros tracked apart).
@@ -90,15 +98,12 @@ impl SearchContext {
 
         let stride = n.saturating_sub(1);
         let mut succ_asc = Vec::with_capacity(n * stride);
-        let mut succ_desc = Vec::with_capacity(n * stride);
         for u in 0..n {
             let mut row: Vec<u32> = (0..n as u32).filter(|&j| j as usize != u).collect();
             row.sort_by(|&a, &b| {
                 transfer[u * n + a as usize].total_cmp(&transfer[u * n + b as usize])
             });
             succ_asc.extend_from_slice(&row);
-            row.reverse();
-            succ_desc.extend_from_slice(&row);
         }
 
         let mut total_inflation = 1.0;
@@ -122,7 +127,6 @@ impl SearchContext {
             transfer: transfer.into(),
             row_max,
             succ_asc: succ_asc.into(),
-            succ_desc: succ_desc.into(),
             total_inflation,
             total_shrink,
             total_zero_sel,
@@ -178,22 +182,14 @@ impl SearchContext {
         &self.succ_asc[u * stride..(u + 1) * stride]
     }
 
-    /// Successors of `u`, most expensive transfer first — the scan order
-    /// for tight `ε̄` row maxima.
-    #[inline]
-    pub fn successors_descending(&self, u: usize) -> &[u32] {
-        let stride = self.n - 1;
-        &self.succ_desc[u * stride..(u + 1) * stride]
-    }
-
     /// `max_{l ∈ remaining, l ≠ u} t_{u,l}`: first remaining entry of the
-    /// descending row — `O(1)` while the head of the row is unplaced,
-    /// `O(#placed)` worst case — or `0.0` when no such `l` exists
-    /// (transfers are non-negative, so the `0.0` floor is absorbed by the
-    /// caller's `max`).
+    /// ascending row walked from its end — `O(1)` while the most
+    /// expensive successor is unplaced, `O(#placed)` worst case — or `0.0`
+    /// when no such `l` exists (transfers are non-negative, so the `0.0`
+    /// floor is absorbed by the caller's `max`).
     #[inline]
     pub fn max_transfer_to(&self, u: usize, remaining: &BitSet) -> f64 {
-        for &l in self.successors_descending(u) {
+        for &l in self.successors_ascending(u).iter().rev() {
             if remaining.contains(l as usize) {
                 return self.transfer[u * self.n + l as usize];
             }
@@ -213,6 +209,42 @@ impl SearchContext {
         f64::INFINITY
     }
 
+    /// The terms whose maximum is [`epsilon_bar`](Self::epsilon_bar), in
+    /// evaluation order: the last placed service's, then one per remaining
+    /// service in ascending index order. This is the one source of the
+    /// formula: `epsilon_bar` folds it with `max`,
+    /// [`epsilon_bar_at_most`](Self::epsilon_bar_at_most) stops at the
+    /// first term above `ε`. Terms are computed lazily, so a caller that
+    /// stops early skips the remaining row scans.
+    #[inline]
+    fn epsilon_bar_terms<'s>(
+        &'s self,
+        state: &'s IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+        tight: bool,
+    ) -> impl Iterator<Item = f64> + 's {
+        let remaining = state.remaining();
+        debug_assert!(!remaining.is_empty(), "ε̄ is only defined for incomplete plans");
+        let p = prefix_last * self.selectivity[last];
+        let inflation = state.inflation();
+
+        let max_t_last =
+            if tight { self.max_transfer_to(last, remaining) } else { self.row_max[last] };
+        let first = prefix_last * (self.cost[last] + self.selectivity[last] * max_t_last);
+
+        std::iter::once(first).chain(remaining.iter().map(move |j| {
+            let sigma_j = self.selectivity[j];
+            let max_out = if tight {
+                self.sink[j].max(self.max_transfer_to(j, remaining))
+            } else {
+                self.row_max[j]
+            };
+            let inflation_j = if sigma_j > 1.0 { inflation / sigma_j } else { inflation };
+            p * inflation_j * (self.cost[j] + sigma_j * max_out)
+        }))
+    }
+
     /// Upper bound `ε̄` on any not-yet-finalized term of any completion
     /// (Lemma 2's companion measure), evaluated from the incremental state.
     ///
@@ -224,10 +256,11 @@ impl SearchContext {
     /// `R∖{j}` or the sink. With `tight == false` the per-row maxima come
     /// from the precomputed whole-row table instead of the remaining set.
     ///
-    /// Cost: `O(|R|)` row-maximum lookups, each `O(1)` while the head of
-    /// its sorted row is unplaced and `O(depth)` worst case — so
-    /// `O(|R| · depth)` adversarially, but near-linear in practice,
-    /// versus the closed form's unconditional `O(n·|R|)`.
+    /// Cost: `|R| + 1` row-maximum lookups, each `O(1)` while the most
+    /// expensive entry of its sorted row is unplaced and `O(depth)` worst
+    /// case. The search decides Lemma 2 with the early-exit
+    /// [`epsilon_bar_at_most`](Self::epsilon_bar_at_most) instead; this
+    /// value serves the oracle tests and the benchmarks.
     pub fn epsilon_bar(
         &self,
         state: &IncrementalBounds,
@@ -235,48 +268,62 @@ impl SearchContext {
         prefix_last: f64,
         tight: bool,
     ) -> f64 {
-        let remaining = state.remaining();
-        debug_assert!(!remaining.is_empty(), "ε̄ is only defined for incomplete plans");
-        let p = prefix_last * self.selectivity[last];
-        let inflation = state.inflation();
-
-        let max_t_last =
-            if tight { self.max_transfer_to(last, remaining) } else { self.row_max[last] };
-        let mut bound = prefix_last * (self.cost[last] + self.selectivity[last] * max_t_last);
-
-        for j in remaining.iter() {
-            let sigma_j = self.selectivity[j];
-            let max_out = if tight {
-                self.sink[j].max(self.max_transfer_to(j, remaining))
-            } else {
-                self.row_max[j]
-            };
-            let inflation_j = if sigma_j > 1.0 { inflation / sigma_j } else { inflation };
-            bound = bound.max(p * inflation_j * (self.cost[j] + sigma_j * max_out));
-        }
-        bound
+        self.epsilon_bar_terms(state, last, prefix_last, tight)
+            .reduce(f64::max)
+            .expect("the last placed service contributes a term")
     }
 
-    /// Optimistic lower bound on the bottleneck cost of any completion of
-    /// the current partial plan (the `use_lower_bound` extension),
-    /// evaluated from the incremental state. Mirror image of
-    /// [`epsilon_bar`](Self::epsilon_bar): every remaining service is
-    /// charged its best case.
-    pub fn completion_lower_bound(
+    /// The Lemma-2 closure test `eps >= epsilon_bar(..)`, decided without
+    /// evaluating `ε̄` in full: the walk stops at the first term above
+    /// `eps`, which on most nodes is the first one.
+    ///
+    /// The decision is exactly the comparison's, ties included. `f64::max`
+    /// skips a NaN operand (a selectivity product overflowed to `∞` times
+    /// a term whose `c + σ·t` is zero), so `ε̄` is the largest term that is
+    /// a number, and NaN only when every term is NaN; hence `eps >= ε̄`
+    /// holds iff at least one term is a number and no such term exceeds
+    /// `eps`.
+    pub fn epsilon_bar_at_most(
         &self,
         state: &IncrementalBounds,
         last: usize,
         prefix_last: f64,
-    ) -> f64 {
+        tight: bool,
+        eps: f64,
+    ) -> bool {
+        self.epsilon_bar_terms(state, last, prefix_last, tight)
+            .try_fold(false, |closes, term| {
+                if term <= eps {
+                    Some(true)
+                } else if term.is_nan() {
+                    Some(closes)
+                } else {
+                    None
+                }
+            })
+            .unwrap_or(false)
+    }
+
+    /// The terms whose maximum is
+    /// [`completion_lower_bound`](Self::completion_lower_bound), in the
+    /// order of [`epsilon_bar_terms`](Self::epsilon_bar_terms), and the one
+    /// source of its formula.
+    #[inline]
+    fn completion_lower_bound_terms<'s>(
+        &'s self,
+        state: &'s IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+    ) -> impl Iterator<Item = f64> + 's {
         let remaining = state.remaining();
         debug_assert!(!remaining.is_empty());
         let p = prefix_last * self.selectivity[last];
         let shrink = state.shrink();
 
         let min_t_last = self.min_transfer_to(last, remaining);
-        let mut bound = prefix_last * (self.cost[last] + self.selectivity[last] * min_t_last);
+        let first = prefix_last * (self.cost[last] + self.selectivity[last] * min_t_last);
 
-        for j in remaining.iter() {
+        std::iter::once(first).chain(remaining.iter().map(move |j| {
             let sigma_j = self.selectivity[j];
             let min_out = self.sink[j].min(self.min_transfer_to(j, remaining));
             let shrink_j = if sigma_j < 1.0 && sigma_j > 0.0 {
@@ -284,9 +331,40 @@ impl SearchContext {
             } else {
                 shrink
             };
-            bound = bound.max(p * shrink_j * (self.cost[j] + sigma_j * min_out));
-        }
-        bound
+            p * shrink_j * (self.cost[j] + sigma_j * min_out)
+        }))
+    }
+
+    /// Optimistic lower bound on the bottleneck cost of any completion of
+    /// the current partial plan (the `use_lower_bound` extension),
+    /// evaluated from the incremental state. Mirror image of
+    /// [`epsilon_bar`](Self::epsilon_bar): every remaining service is
+    /// charged its best case. The search prunes with the early-exit
+    /// [`completion_lower_bound_reaches`](Self::completion_lower_bound_reaches)
+    /// instead; this value serves the oracle tests and the benchmarks.
+    pub fn completion_lower_bound(
+        &self,
+        state: &IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+    ) -> f64 {
+        self.completion_lower_bound_terms(state, last, prefix_last)
+            .reduce(f64::max)
+            .expect("the last placed service contributes a term")
+    }
+
+    /// The lower-bound prune test `completion_lower_bound(..) >= rho`,
+    /// stopping at the first term that reaches `rho`. Exact, ties
+    /// included: the NaN-skipping `max` reaches `rho` iff some term does
+    /// (a NaN term reaches nothing).
+    pub fn completion_lower_bound_reaches(
+        &self,
+        state: &IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+        rho: f64,
+    ) -> bool {
+        self.completion_lower_bound_terms(state, last, prefix_last).any(|term| term >= rho)
     }
 }
 
@@ -549,6 +627,59 @@ mod tests {
             let fast = ctx.completion_lower_bound(state, last, prefix_last);
             let slow = bounds::completion_lower_bound(inst, placed, last, prefix_last);
             assert_within(fast, slow, "completion lower bound");
+            check_predicates(ctx, state, last, prefix_last);
+        }
+    }
+
+    /// The neighbours one ulp below and above a non-negative `x`.
+    fn ulp_neighbours(x: f64) -> [f64; 2] {
+        if x == 0.0 {
+            [-f64::from_bits(1), f64::from_bits(1)]
+        } else if x == f64::INFINITY {
+            [f64::MAX, x]
+        } else {
+            [f64::from_bits(x.to_bits() - 1), f64::from_bits(x.to_bits() + 1)]
+        }
+    }
+
+    /// Thresholds that probe a predicate at its edges: every term's exact
+    /// value, one ulp either side of it, and `0` and `∞`.
+    fn thresholds(terms: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0, f64::INFINITY];
+        for &term in terms.iter().filter(|t| !t.is_nan()) {
+            out.push(term);
+            out.extend(ulp_neighbours(term));
+        }
+        out
+    }
+
+    /// The early-exit predicates decide exactly as comparing against the
+    /// full values: `eps >= ε̄` and `lb >= ρ`, at every threshold.
+    fn check_predicates(
+        ctx: &SearchContext,
+        state: &IncrementalBounds,
+        last: usize,
+        prefix_last: f64,
+    ) {
+        for tight in [true, false] {
+            let terms: Vec<f64> = ctx.epsilon_bar_terms(state, last, prefix_last, tight).collect();
+            let ebar = ctx.epsilon_bar(state, last, prefix_last, tight);
+            for eps in thresholds(&terms) {
+                assert_eq!(
+                    ctx.epsilon_bar_at_most(state, last, prefix_last, tight, eps),
+                    eps >= ebar,
+                    "tight={tight}: eps {eps:e} against ε̄ {ebar:e} (terms {terms:?})"
+                );
+            }
+        }
+        let terms: Vec<f64> = ctx.completion_lower_bound_terms(state, last, prefix_last).collect();
+        let lb = ctx.completion_lower_bound(state, last, prefix_last);
+        for rho in thresholds(&terms) {
+            assert_eq!(
+                ctx.completion_lower_bound_reaches(state, last, prefix_last, rho),
+                lb >= rho,
+                "ρ {rho:e} against lower bound {lb:e} (terms {terms:?})"
+            );
         }
     }
 
@@ -556,7 +687,9 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
         /// Random push/pop/rewind walks: the incremental engine tracks the
-        /// closed-form oracles at every step, in both selectivity regimes.
+        /// closed-form oracles at every step, in both selectivity regimes,
+        /// and the closure and prune predicates agree with comparing
+        /// against the full bound values.
         #[test]
         fn incremental_engine_matches_reference_oracles(
             seed in 0u64..u64::MAX,
@@ -635,7 +768,6 @@ mod tests {
         let ctx = SearchContext::new(&inst);
         for u in 0..7 {
             let asc = ctx.successors_ascending(u);
-            let desc = ctx.successors_descending(u);
             assert_eq!(asc.len(), 6);
             let mut sorted: Vec<u32> = asc.to_vec();
             sorted.sort_unstable();
@@ -643,10 +775,42 @@ mod tests {
             assert!(asc
                 .windows(2)
                 .all(|w| ctx.transfer(u, w[0] as usize) <= ctx.transfer(u, w[1] as usize)));
-            assert!(desc
-                .windows(2)
-                .all(|w| ctx.transfer(u, w[0] as usize) >= ctx.transfer(u, w[1] as usize)));
         }
+    }
+
+    #[test]
+    fn predicates_follow_the_nan_skipping_max() {
+        // Zero costs, transfers and sinks with selectivities whose
+        // products overflow: a term multiplies `∞` by `0` and is NaN.
+        let n = 5;
+        let inst =
+            QueryInstance::from_parts(vec![Service::new(0.0, 1e200); n], CommMatrix::zeros(n))
+                .unwrap();
+        let ctx = SearchContext::new(&inst);
+        let mut state = IncrementalBounds::new(&ctx);
+        state.push(&ctx, 0);
+        state.push(&ctx, 1);
+
+        // Prefix (0, 1): the first term is a number (0), every term of a
+        // remaining service is NaN, so `ε̄ == 0` and `ε = 0` closes.
+        let terms: Vec<f64> = ctx.epsilon_bar_terms(&state, 1, 1e200, true).collect();
+        assert_eq!(terms[0], 0.0);
+        assert!(terms[1..].iter().all(|t| t.is_nan()));
+        assert_eq!(ctx.epsilon_bar(&state, 1, 1e200, true), 0.0);
+        assert!(ctx.epsilon_bar_at_most(&state, 1, 1e200, true, 0.0));
+        check_predicates(&ctx, &state, 1, 1e200);
+
+        // Prefix (0, 1, 2): the prefix product itself is `∞`, every term
+        // is NaN, `ε̄` is NaN and nothing closes.
+        state.push(&ctx, 2);
+        let prefix_last = 1e200 * 1e200;
+        assert!(ctx.epsilon_bar_terms(&state, 2, prefix_last, true).all(f64::is_nan));
+        assert!(ctx.epsilon_bar(&state, 2, prefix_last, true).is_nan());
+        for eps in [0.0, 1.0, f64::INFINITY, f64::NAN] {
+            assert!(!ctx.epsilon_bar_at_most(&state, 2, prefix_last, true, eps));
+            assert!(!ctx.completion_lower_bound_reaches(&state, 2, prefix_last, eps));
+        }
+        check_predicates(&ctx, &state, 2, prefix_last);
     }
 
     #[test]

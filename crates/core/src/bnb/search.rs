@@ -562,49 +562,48 @@ impl<'a> Searcher<'a> {
             return false;
         }
 
-        if self.cfg.use_epsilon_bar {
-            let ebar = self.ctx.epsilon_bar(
+        let prefix_last = self.prefix[m - 1];
+        if self.cfg.use_epsilon_bar
+            && self.ctx.epsilon_bar_at_most(
                 &self.state,
                 last,
-                self.prefix[m - 1],
+                prefix_last,
                 self.cfg.tight_epsilon_bar,
-            );
-            if eps >= ebar {
-                // Lemma 2: every completion of this prefix costs exactly ε.
-                self.stats.lemma2_closures += 1;
-                if eps < self.rho {
-                    let full = self.greedy_completion();
-                    debug_assert!(
-                        {
-                            let plan =
-                                Plan::new(full.clone()).expect("completion is a permutation");
-                            let actual = bottleneck_cost(self.inst, &plan);
-                            (actual - eps).abs() <= 1e-9 * eps.max(1.0)
-                        },
-                        "Lemma-2 closure must equal the completion's true cost"
-                    );
-                    self.rho = eps;
-                    self.best = Some(full);
-                    self.stats.candidates_recorded += 1;
-                    self.publish_incumbent(eps);
-                    if self.halt_on_candidate {
-                        self.halted = true;
-                    }
+                eps,
+            )
+        {
+            // Lemma 2: every completion of this prefix costs exactly ε.
+            self.stats.lemma2_closures += 1;
+            if eps < self.rho {
+                let full = self.greedy_completion();
+                debug_assert!(
+                    {
+                        let plan = Plan::new(full.clone()).expect("completion is a permutation");
+                        let actual = bottleneck_cost(self.inst, &plan);
+                        (actual - eps).abs() <= 1e-9 * eps.max(1.0)
+                    },
+                    "Lemma-2 closure must equal the completion's true cost"
+                );
+                self.rho = eps;
+                self.best = Some(full);
+                self.stats.candidates_recorded += 1;
+                self.publish_incumbent(eps);
+                if self.halt_on_candidate {
+                    self.halted = true;
                 }
-                self.rewind();
-                return false;
             }
+            self.rewind();
+            return false;
         }
 
-        if self.cfg.use_lower_bound {
-            let lb = self.ctx.completion_lower_bound(&self.state, last, self.prefix[m - 1]);
-            if lb >= self.rho {
-                self.stats.prunes_lower_bound += 1;
-                // The bound covers every completion of this node, but says
-                // nothing about siblings: plain backtrack, no back-jump.
-                self.pop_one();
-                return false;
-            }
+        if self.cfg.use_lower_bound
+            && self.ctx.completion_lower_bound_reaches(&self.state, last, prefix_last, self.rho)
+        {
+            self.stats.prunes_lower_bound += 1;
+            // The bound covers every completion of this node, but says
+            // nothing about siblings: plain backtrack, no back-jump.
+            self.pop_one();
+            return false;
         }
 
         true

@@ -670,6 +670,13 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<channel::Receiver<Job>>) {
 fn snapshot_loop(inner: &Inner, path: &std::path::Path, interval: Duration) {
     loop {
         let requested = inner.shutdown_requested.lock().expect("signal lock");
+        // `shutdown()` raises the flag before it notifies under this lock,
+        // so a drain that began before this thread first took the lock (or
+        // while it was writing a snapshot) is seen here instead of being
+        // waited out for a whole interval.
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
         let (_guard, _timeout) =
             inner.signal.wait_timeout(requested, interval).expect("signal lock");
         if inner.shutdown.load(Ordering::SeqCst) {

@@ -341,6 +341,35 @@ fn undelivered_exports_roll_back_and_are_counted() {
     std::fs::remove_file(&snapshot).ok();
 }
 
+/// A drain that starts before the snapshot thread first waits must not
+/// be waited out for the whole snapshot interval: the thread used to
+/// take its lock after `shutdown()` had notified, then sleep for the
+/// interval while `shutdown()` joined it. Starting and draining at once
+/// makes that interleaving likely; each round gets a deadline far below
+/// the interval.
+#[test]
+fn a_drain_right_after_start_does_not_wait_out_the_snapshot_interval() {
+    for round in 0..2000 {
+        let snapshot = temp_path("drain-at-start");
+        let config = ServerConfig {
+            snapshot_path: Some(snapshot.clone()),
+            snapshot_interval: Duration::from_secs(3600),
+            ..quick_config()
+        };
+        let server = Server::start(&tcp(), &config).expect("start");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            done_tx.send(()).ok();
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "round {round}: shutdown waited on the snapshot interval"
+        );
+        std::fs::remove_file(&snapshot).ok();
+    }
+}
+
 /// Regression, bug #4: the import size cap was enforced only *after*
 /// appending a line, and never on the `end-snapshot` trailer — an
 /// import could overshoot the cap by a whole line or smuggle the
